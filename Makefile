@@ -1,36 +1,55 @@
-.PHONY: all build verify bench bench-smoke serve-smoke fuzz-smoke fix-verify sched-smoke doc clean
+.PHONY: all build verify lint-selfcheck parametric-lint exact-tier \
+  cost-model-accuracy bench bench-smoke serve-smoke fuzz-smoke fix-verify \
+  sched-smoke doc clean
 
 all: build
 
 build:
 	dune build
 
-# Tier-1 gate: full build + the whole alcotest/qcheck suite, then the
-# lint self-check: clean kernels must pass, the racy fixture must fail,
-# the parametric fixture must lint without -p and trip the FS gate.
-# The adversarial exact-tier fixtures must get definite verdicts: their
-# certified races gate the exit code, and even under --exact on no
-# analysis/unknown or analysis/exact-budget finding may remain.
-verify:
-	dune build
+# Tier-1 gate: full build + the whole alcotest/qcheck suite, then every
+# gate below in turn.  CI runs the same targets as separate steps, each
+# exactly once, instead of calling this one.
+verify: build
 	dune runtest
-	./_build/default/bin/fsdetect.exe lint --no-fixits -k saxpy > /dev/null
-	./_build/default/bin/fsdetect.exe lint --no-fixits -k linear_regression > /dev/null
-	! ./_build/default/bin/fsdetect.exe lint --no-fixits test/fixtures/racy_stencil.c > /dev/null
-	./_build/default/bin/fsdetect.exe lint --no-fixits test/fixtures/parametric_stride.c > /dev/null
-	! ./_build/default/bin/fsdetect.exe lint --no-fixits --fail-on fs test/fixtures/parametric_stride.c > /dev/null
-	./_build/default/bin/fsdetect.exe lint --no-fixits --fail-on never test/fixtures/racy_stencil.c > /dev/null
-	! ./_build/default/bin/fsdetect.exe lint --no-fixits test/fixtures/coupled_subscript.c > /dev/null 2>&1
-	! ./_build/default/bin/fsdetect.exe lint --no-fixits test/fixtures/divided_bound.c > /dev/null 2>&1
-	! ./_build/default/bin/fsdetect.exe lint --no-fixits --fail-on never --exact on test/fixtures/coupled_subscript.c 2>&1 | grep 'analysis/'
-	! ./_build/default/bin/fsdetect.exe lint --no-fixits --fail-on never --exact on test/fixtures/divided_bound.c 2>&1 | grep 'analysis/'
-	./_build/default/bin/fsdetect.exe --version | grep -q '+arch\.'
-	./_build/default/bin/fsdetect.exe lint --fail-on never --cost-model analytic -k heat | grep -q 'cost: Total_c'
-	./_build/default/bin/fsdetect.exe analyze --cost-model analytic --format json -k heat | grep -q '"costModel": "analytic"'
+	$(MAKE) lint-selfcheck
+	$(MAKE) parametric-lint
+	$(MAKE) exact-tier
 	$(MAKE) serve-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) fix-verify
 	$(MAKE) sched-smoke
+
+# The lint self-check: clean kernels must pass, the racy fixture must
+# fail (and pass under --fail-on never), the version carries the arch
+# key, and the analytic cost model renders its Eq. 1 lines.
+lint-selfcheck: build
+	./_build/default/bin/fsdetect.exe lint --no-fixits -k saxpy > /dev/null
+	./_build/default/bin/fsdetect.exe lint --no-fixits -k linear_regression > /dev/null
+	! ./_build/default/bin/fsdetect.exe lint --no-fixits test/fixtures/racy_stencil.c > /dev/null
+	./_build/default/bin/fsdetect.exe lint --no-fixits --fail-on never test/fixtures/racy_stencil.c > /dev/null
+	./_build/default/bin/fsdetect.exe --version | grep -q '+arch\.'
+	./_build/default/bin/fsdetect.exe lint --fail-on never --cost-model analytic -k heat | grep -q 'cost: Total_c'
+	./_build/default/bin/fsdetect.exe analyze --cost-model analytic --format json -k heat | grep -q '"costModel": "analytic"'
+
+# Symbolic mode: the parametric fixture must lint without -p bindings
+# and trip the FS gate, and every well-formed fixture must lint.
+parametric-lint: build
+	./_build/default/bin/fsdetect.exe lint --no-fixits test/fixtures/parametric_stride.c > /dev/null
+	! ./_build/default/bin/fsdetect.exe lint --no-fixits --fail-on fs test/fixtures/parametric_stride.c > /dev/null
+	for f in test/fixtures/*.c; do \
+	  case "$$f" in */bad_*) continue ;; esac; \
+	  ./_build/default/bin/fsdetect.exe lint --no-fixits --fail-on never "$$f" > /dev/null || exit 1; \
+	done
+
+# The adversarial exact-tier fixtures must get definite verdicts: their
+# certified races gate the exit code, and even under --exact on no
+# analysis/unknown or analysis/exact-budget finding may remain.
+exact-tier: build
+	! ./_build/default/bin/fsdetect.exe lint --no-fixits test/fixtures/coupled_subscript.c > /dev/null 2>&1
+	! ./_build/default/bin/fsdetect.exe lint --no-fixits test/fixtures/divided_bound.c > /dev/null 2>&1
+	! ./_build/default/bin/fsdetect.exe lint --no-fixits --fail-on never --exact on test/fixtures/coupled_subscript.c 2>&1 | grep 'analysis/'
+	! ./_build/default/bin/fsdetect.exe lint --no-fixits --fail-on never --exact on test/fixtures/divided_bound.c 2>&1 | grep 'analysis/'
 
 # Analytic-vs-simulator accuracy gate: every registry kernel's reuse
 # prediction must land inside the per-kernel tolerances pinned in
@@ -60,9 +79,12 @@ fuzz-smoke: build
 # attributed false sharing must get a materialized transformed program
 # that removes >= 90% of it with no analytic cost regression and a
 # simulator-confirmed drop in false invalidation misses; clean kernels
-# must report an explicitly empty plan.  Then a short seeded mining run:
-# generated nests whose materialized fix underdelivers are promoted into
-# test/corpus as content-addressed fix-<digest>.c regression seeds.
+# must report an explicitly empty plan, and the reference engine must
+# reproduce every verdict's before/after FS counts (engine agreement is
+# gated here, not in the production fix path).  Then a short seeded
+# mining run: generated nests whose materialized fix underdelivers are
+# promoted into test/corpus as content-addressed fix-<digest>.c
+# regression seeds.
 fix-verify: build
 	./_build/default/test/fix_verify.exe
 	./_build/default/bin/fsdetect.exe fuzz --seed 7 --count 400 \

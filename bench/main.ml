@@ -1081,8 +1081,8 @@ let fix_section () =
                 fix_stats :=
                   ( name,
                     func,
-                    v.Analysis.Fixer.before.Analysis.Fixer.fs_ref,
-                    v.Analysis.Fixer.after.Analysis.Fixer.fs_ref,
+                    v.Analysis.Fixer.before.Analysis.Fixer.fs,
+                    v.Analysis.Fixer.after.Analysis.Fixer.fs,
                     v.Analysis.Fixer.removal,
                     v.Analysis.Fixer.cost_ratio,
                     v.Analysis.Fixer.verified )
@@ -1090,8 +1090,8 @@ let fix_section () =
                 [
                   name;
                   func;
-                  string_of_int v.Analysis.Fixer.before.Analysis.Fixer.fs_ref;
-                  string_of_int v.Analysis.Fixer.after.Analysis.Fixer.fs_ref;
+                  string_of_int v.Analysis.Fixer.before.Analysis.Fixer.fs;
+                  string_of_int v.Analysis.Fixer.after.Analysis.Fixer.fs;
                   Printf.sprintf "%.1f%%" (100. *. v.Analysis.Fixer.removal);
                   (match v.Analysis.Fixer.cost_ratio with
                   | Some r -> Printf.sprintf "%.2fx" r

@@ -2,25 +2,32 @@
     program.
 
     [Fsmodel.Transform] materializes the fix; this module re-runs the
-    whole analysis stack on the result — both model engines, the
-    dependence analysis, and the analytic reuse-distance cost model —
-    and compares against the original.  A fix is {e verified} when
+    analysis stack on the result — the FS count, the dependence
+    analysis, and the analytic reuse-distance cost model — and compares
+    against the original.  Each nest's FS count is computed once: it is
+    the certified closed form that the cost model's [Reuse.analyze]
+    already yields, or one [`Fast] engine run when the nest has no
+    certificate.  Under [?chunk] the certificate is for the nest as
+    [schedule(static, c)], so a dynamic or guided nest takes the
+    engine run, which replays its own schedule.  A fix is {e verified} when
 
     - the transformed source round-trips (re-parses and re-typechecks to
       the same span-erased AST),
-    - both engines agree on the FS count before and after,
     - the attributed FS removal reaches [min_removal] (default 90%),
     - no new race appears, and
     - the analytic [Total_c] does not regress beyond [cost_slack]
       (default 5%).
 
-    The execution-simulator leg of the gate lives with the tests and the
-    bench driver ([test/fix_verify.ml]), which link the simulator; this
-    library stays simulator-free. *)
+    Engine agreement is a test-tier gate, not a production check:
+    [test/fix_verify.ml] and the fuzz oracle's [fix/verified] row
+    compare both counts against the [`Reference] engine.  The
+    execution-simulator leg of the gate lives there too, with the bench
+    driver; this library stays simulator-free. *)
 
 type metrics = {
-  fs_fast : int;  (** FS cases, [`Fast] engine, summed over all nests *)
-  fs_ref : int;  (** FS cases, [`Reference] engine *)
+  fs : int;
+      (** FS cases summed over all nests: closed form where certified,
+          else the [`Fast] engine *)
   races : int;  (** loop-carried dependence pairs *)
   cost : float option;
       (** analytic [Total_c] summed over nests; [None] when some nest has
@@ -37,7 +44,6 @@ type verdict = {
   min_removal : float;
   cost_slack : float;
   roundtrip_ok : bool;
-  engines_agree : bool;
   verified : bool;
   transformed : Minic.Typecheck.checked;
   source : string;  (** pretty-printed transformed program *)

@@ -821,8 +821,8 @@ let lint_function ~opts ~checked func =
                       Diag.fv_rewrites =
                         List.map Fsmodel.Transform.describe
                           v.Fixer.plan.Fsmodel.Transform.rewrites;
-                      fv_fs_before = v.Fixer.before.Fixer.fs_ref;
-                      fv_fs_after = v.Fixer.after.Fixer.fs_ref;
+                      fv_fs_before = v.Fixer.before.Fixer.fs;
+                      fv_fs_after = v.Fixer.after.Fixer.fs;
                       fv_removal = 100. *. v.Fixer.removal;
                       fv_cost_ratio = v.Fixer.cost_ratio;
                       fv_ok = v.Fixer.verified;

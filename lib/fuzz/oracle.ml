@@ -709,6 +709,19 @@ let lint_checks ~threads ~chunk ~fixits ~mark ~fail checked =
   | Error m -> fail "lint/json" m);
   report
 
+let reference_fs ?chunk ~threads ~func checked =
+  let params = [ ("num_threads", threads) ] in
+  let cfg =
+    { (Fsmodel.Model.default_config ~threads ()) with Fsmodel.Model.chunk }
+  in
+  List.fold_left
+    (fun acc nest ->
+      acc
+      + (Fsmodel.Model.run ~engine:`Reference cfg ~nest ~checked)
+          .Fsmodel.Model.fs_cases)
+    0
+    (Loopir.Lower.lower_all checked ~func ~params)
+
 (* The fix loop's own laws.  [Fixer.verify] is called WITHOUT advice:
    the advisor runs a Par_sweep internally, and nesting domain pools
    inside the fuzzing pool is both slow and unnecessary here — the
@@ -738,50 +751,62 @@ let fix_checks ~mutate ~threads ~func ~mark ~fail ~promote checked =
             assert false
       in
       let claimed_after =
-        v.Analysis.Fixer.after.Analysis.Fixer.fs_ref
+        v.Analysis.Fixer.after.Analysis.Fixer.fs
         + (if mutate = Some Fix_m then 1 else 0)
       in
       if
-        claimed_after <> again.Analysis.Fixer.after.Analysis.Fixer.fs_ref
-        || v.Analysis.Fixer.before.Analysis.Fixer.fs_ref
-           <> again.Analysis.Fixer.before.Analysis.Fixer.fs_ref
+        claimed_after <> again.Analysis.Fixer.after.Analysis.Fixer.fs
+        || v.Analysis.Fixer.before.Analysis.Fixer.fs
+           <> again.Analysis.Fixer.before.Analysis.Fixer.fs
         || v.Analysis.Fixer.verified <> again.Analysis.Fixer.verified
       then
         fail "fix/verified"
           (Printf.sprintf
              "%s: verdict not deterministic: N_fs %d->%d verified=%b, then \
               %d->%d verified=%b"
-             func v.Analysis.Fixer.before.Analysis.Fixer.fs_ref claimed_after
+             func v.Analysis.Fixer.before.Analysis.Fixer.fs claimed_after
              v.Analysis.Fixer.verified
-             again.Analysis.Fixer.before.Analysis.Fixer.fs_ref
-             again.Analysis.Fixer.after.Analysis.Fixer.fs_ref
+             again.Analysis.Fixer.before.Analysis.Fixer.fs
+             again.Analysis.Fixer.after.Analysis.Fixer.fs
              again.Analysis.Fixer.verified);
-      if not v.Analysis.Fixer.engines_agree then
+      (* the verdict counts once (closed form, or the fast engine); the
+         reference engine must reproduce both counts *)
+      let ref_before = reference_fs ~threads ~func checked
+      and ref_after =
+        reference_fs ~threads ~func v.Analysis.Fixer.transformed
+      in
+      if
+        ref_before <> v.Analysis.Fixer.before.Analysis.Fixer.fs
+        || ref_after <> claimed_after
+      then
         fail "fix/verified"
-          (func ^ ": fast and reference engines disagree across the fix");
+          (Printf.sprintf
+             "%s: verdict N_fs %d->%d, reference engine %d->%d" func
+             v.Analysis.Fixer.before.Analysis.Fixer.fs claimed_after
+             ref_before ref_after);
       (* the reported removal must be what the before/after counts say *)
-      (if v.Analysis.Fixer.before.Analysis.Fixer.fs_ref > 0 then
+      (if v.Analysis.Fixer.before.Analysis.Fixer.fs > 0 then
          let want =
            1.
-           -. float_of_int v.Analysis.Fixer.after.Analysis.Fixer.fs_ref
-              /. float_of_int v.Analysis.Fixer.before.Analysis.Fixer.fs_ref
+           -. float_of_int v.Analysis.Fixer.after.Analysis.Fixer.fs
+              /. float_of_int v.Analysis.Fixer.before.Analysis.Fixer.fs
          in
          if Float.abs (want -. v.Analysis.Fixer.removal) > 1e-9 then
            fail "fix/verified"
              (Printf.sprintf "%s: removal %.6f inconsistent with N_fs %d->%d"
                 func v.Analysis.Fixer.removal
-                v.Analysis.Fixer.before.Analysis.Fixer.fs_ref
-                v.Analysis.Fixer.after.Analysis.Fixer.fs_ref));
+                v.Analysis.Fixer.before.Analysis.Fixer.fs
+                v.Analysis.Fixer.after.Analysis.Fixer.fs));
       if
-        v.Analysis.Fixer.before.Analysis.Fixer.fs_ref > 0
+        v.Analysis.Fixer.before.Analysis.Fixer.fs > 0
         && not v.Analysis.Fixer.verified
       then
         promote
           (Printf.sprintf
              "fix underdelivers in %s: N_fs %d -> %d (%.1f%% removed), cost \
               %s"
-             func v.Analysis.Fixer.before.Analysis.Fixer.fs_ref
-             v.Analysis.Fixer.after.Analysis.Fixer.fs_ref
+             func v.Analysis.Fixer.before.Analysis.Fixer.fs
+             v.Analysis.Fixer.after.Analysis.Fixer.fs
              (100. *. v.Analysis.Fixer.removal)
              (match v.Analysis.Fixer.cost_ratio with
              | Some r -> Printf.sprintf "%.2fx" r

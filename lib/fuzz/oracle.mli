@@ -56,8 +56,9 @@
       generated cases (and on every corpus file), the fix loop's laws:
       when {!Analysis.Fixer.verify} materializes a fix, the transformed
       source round-trips through the printer, a second verify reproduces
-      every claimed metric bit-for-bit, both engines agree across the
-      transformation, and the reported removal is consistent with the
+      every claimed metric bit-for-bit, the [`Reference] engine
+      reproduces the verdict's before and after counts (see
+      {!reference_fs}), and the reported removal is consistent with the
       before/after counts.  A fix that {e underdelivers} (does not
       verify) is not an oracle failure — it lands in [promote] as
       mining yield for the corpus;
@@ -113,6 +114,19 @@ val check_source :
     spec-specific checks (round-trip against the generating structure,
     expected-nonaffine bookkeeping).  Every parallel function and nest
     of the program is checked. *)
+
+val reference_fs :
+  ?chunk:int ->
+  threads:int ->
+  func:string ->
+  Minic.Typecheck.checked ->
+  int
+(** [func]'s FS count by the [`Reference] engine, summed over its nests
+    lowered with [num_threads] bound to [threads] on the paper machine,
+    with [?chunk] overriding every pragma chunk as [Fixer.verify ?chunk]
+    does — the test-tier oracle for {!Analysis.Fixer.verify}'s counts,
+    which come from the closed form or one fast-engine run.  Raises
+    what lowering raises. *)
 
 val scan_header : string -> int * int option
 (** Parse the [threads:] / [chunk:] lines of a counterexample header

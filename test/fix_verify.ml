@@ -4,9 +4,13 @@
    advisor, materialize the fix, and require that
 
    - kernels expected to have attributed FS get a verified fix:
-     >= 90% attributed-FS removal on both engines, no race introduced,
-     round-trip through the printer, and no analytic cost regression
+     >= 90% attributed-FS removal, no race introduced, round-trip
+     through the printer, and no analytic cost regression
      (Fixer.verify's verdict);
+   - the reference engine reproduces the verdict's before and after FS
+     counts, which Fixer.verify takes from the closed form or one
+     fast-engine run — engine agreement is gated here, not in the
+     production path;
    - the execution simulator confirms it: false-sharing invalidation
      misses on the transformed kernel drop by >= 90% (skipped for
      sub-noise baselines);
@@ -93,8 +97,8 @@ let () =
           Printf.printf "%-18s %-6d %8d %8d %7.1f%% %10s %10s %6s %10d %10d  %s\n"
             name
             (List.length v.Analysis.Fixer.plan.Fsmodel.Transform.rewrites)
-            v.Analysis.Fixer.before.Analysis.Fixer.fs_ref
-            v.Analysis.Fixer.after.Analysis.Fixer.fs_ref
+            v.Analysis.Fixer.before.Analysis.Fixer.fs
+            v.Analysis.Fixer.after.Analysis.Fixer.fs
             (100. *. v.Analysis.Fixer.removal)
             (pp_cost v.Analysis.Fixer.before.Analysis.Fixer.cost)
             (pp_cost v.Analysis.Fixer.after.Analysis.Fixer.cost)
@@ -104,6 +108,17 @@ let () =
             sim_before sim_after
             (if v.Analysis.Fixer.verified then "VERIFIED" else "UNVERIFIED");
           check failed name (expect = Fixes) "expected a clean kernel, got a fix";
+          let ref_before = Fuzz.Oracle.reference_fs ~threads ~func checked
+          and ref_after =
+            Fuzz.Oracle.reference_fs ~threads ~func
+              v.Analysis.Fixer.transformed
+          in
+          check failed name
+            (ref_before = v.Analysis.Fixer.before.Analysis.Fixer.fs
+            && ref_after = v.Analysis.Fixer.after.Analysis.Fixer.fs)
+            (Printf.sprintf "reference engine N_fs %d->%d, verdict %d->%d"
+               ref_before ref_after v.Analysis.Fixer.before.Analysis.Fixer.fs
+               v.Analysis.Fixer.after.Analysis.Fixer.fs);
           check failed name v.Analysis.Fixer.verified
             "fix did not verify (removal/cost/race/round-trip)";
           (* simulator leg: transformed kernel must drop false invalidation

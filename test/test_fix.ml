@@ -72,14 +72,9 @@ let test_roundtrip () =
 (* Everything a caller can observe from a verdict, minus the AST. *)
 let observables v =
   let open Analysis.Fixer in
-  ( ( v.before.fs_fast,
-      v.before.fs_ref,
-      v.after.fs_fast,
-      v.after.fs_ref,
-      v.before.races,
-      v.after.races ),
+  ( (v.before.fs, v.after.fs, v.before.races, v.after.races),
     (v.before.cost, v.after.cost, v.removal, v.cost_ratio),
-    (v.roundtrip_ok, v.engines_agree, v.verified),
+    (v.roundtrip_ok, v.verified),
     v.source )
 
 let test_jobs_determinism () =
@@ -99,6 +94,85 @@ let test_jobs_determinism () =
   Alcotest.(check bool)
     "verdict identical at 1 and 4 sweep domains" true
     (run 1 = run 4)
+
+(* Fixer.verify counts each nest's N_fs once: a certified nest takes the
+   closed form the cost term already computes (no engine run), an
+   uncertified one costs exactly one fast-engine run per side. *)
+let test_engine_runs () =
+  List.iter
+    (fun (name, want) ->
+      let k =
+        match Kernels.Registry.find name with
+        | Some k -> k
+        | None -> Alcotest.fail (name ^ " kernel missing")
+      in
+      let checked = Kernels.Kernel.parse k in
+      let func = k.Kernels.Kernel.func in
+      let advice = Fsmodel.Advisor.advise ~threads ~func checked in
+      let r0 = Fsmodel.Model.run_count () in
+      (match Analysis.Fixer.verify ~advice ~threads ~func checked with
+      | Analysis.Fixer.Fix _ -> ()
+      | Analysis.Fixer.Nothing_to_fix r ->
+          Alcotest.fail (name ^ ": nothing to fix: " ^ r));
+      Alcotest.(check int)
+        (name ^ ": engine runs in Fixer.verify")
+        want
+        (Fsmodel.Model.run_count () - r0))
+    [ ("counter_slots", 0); ("heat", 0); ("transpose", 2) ]
+
+(* Under [~chunk], a dynamic or guided nest keeps its schedule: its
+   count must be the engine's replay of that schedule, not the closed
+   form of the [schedule(static, c)] nest [Reuse.analyze] certifies.
+   The static nest beside them takes the closed form. *)
+let mixed_schedules =
+  {|long counters[8];
+long hits[64];
+long tally[64];
+
+void count(void) {
+  int t;
+  int r;
+  int i;
+  #pragma omp parallel for private(t,r) schedule(static,1)
+  for (t = 0; t < 8; t++) {
+    for (r = 0; r < 256; r++) {
+      counters[t] += 1;
+    }
+  }
+  #pragma omp parallel for private(i,r) schedule(dynamic,1)
+  for (i = 0; i < 64; i++) {
+    for (r = 0; r < 32; r++) {
+      hits[i] += 1;
+    }
+  }
+  #pragma omp parallel for private(i,r) schedule(guided,1)
+  for (i = 0; i < 64; i++) {
+    for (r = 0; r < 32; r++) {
+      tally[i] += 1;
+    }
+  }
+}
+|}
+
+let test_chunk_non_static () =
+  let checked = reparse mixed_schedules in
+  let func = "count" and chunk = 2 in
+  let r0 = Fsmodel.Model.run_count () in
+  match Analysis.Fixer.verify ~chunk ~threads ~func checked with
+  | Analysis.Fixer.Nothing_to_fix r -> Alcotest.fail ("nothing to fix: " ^ r)
+  | Analysis.Fixer.Fix v ->
+      Alcotest.(check int)
+        "one fast run per side for each non-static nest" 4
+        (Fsmodel.Model.run_count () - r0);
+      Alcotest.(check int)
+        "before = reference engine under the chunk"
+        (Fuzz.Oracle.reference_fs ~chunk ~threads ~func checked)
+        v.Analysis.Fixer.before.Analysis.Fixer.fs;
+      Alcotest.(check int)
+        "after = reference engine under the chunk"
+        (Fuzz.Oracle.reference_fs ~chunk ~threads ~func
+           v.Analysis.Fixer.transformed)
+        v.Analysis.Fixer.after.Analysis.Fixer.fs
 
 let test_nothing_to_fix () =
   let store = Service.Api.create_store () in
@@ -146,6 +220,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Slow test_roundtrip;
           Alcotest.test_case "jobs-determinism" `Quick test_jobs_determinism;
+          Alcotest.test_case "engine-runs" `Quick test_engine_runs;
+          Alcotest.test_case "chunk-non-static" `Quick test_chunk_non_static;
           Alcotest.test_case "nothing-to-fix" `Quick test_nothing_to_fix;
           Alcotest.test_case "cache-keys" `Quick test_cache_keys;
         ] );
