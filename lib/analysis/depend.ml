@@ -140,7 +140,7 @@ let feasible ranges a ~tlo ~thi =
         else fdiv (hi - c) g >= cdiv (lo - c) g
 
 (* ---------------------------------------------------------------- *)
-(* Building the iteration box                                        *)
+(* Bounds and offsets                                                *)
 (* ---------------------------------------------------------------- *)
 
 let prime v = v ^ "'"
@@ -172,49 +172,6 @@ let bound_error ~params ~known l e =
   | [] ->
       Printf.sprintf "bound of loop %s is not affine" l.Loop_nest.var
 
-(* Evaluate loop bounds outermost-in, each as an affine expression over
-   parameters (folded to constants) and enclosing loop variables
-   (interval-propagated).  Returns the per-variable value intervals plus a
-   per-loop upper bound on the trip count; [None] when the nest certainly
-   runs nothing. *)
-let box ~params (nest : Loop_nest.t) =
-  let ranges = ref [] in
-  let lookup v =
-    match List.assoc_opt v params with
-    | Some k -> Some (Affine.const k)
-    | None ->
-        if List.mem_assoc v !ranges then Some (Affine.var v) else None
-  in
-  let trips =
-    List.map
-      (fun (l : Loop_nest.loop) ->
-        let aff_of e =
-          match Affine.of_expr lookup e with
-          | Some a -> a
-          | None ->
-              raise
-                (Not_analyzable
-                   (bound_error ~params
-                      ~known:(fun v -> List.mem_assoc v !ranges)
-                      l e))
-        in
-        let lo_lo, _ = bounds !ranges (aff_of l.Loop_nest.lower) in
-        let _, up_hi = bounds !ranges (aff_of l.Loop_nest.upper_excl) in
-        if up_hi - 1 < lo_lo then raise Exit (* certainly empty nest *)
-        else begin
-          (* conservative value interval: smallest lower to largest last *)
-          ranges := (l.Loop_nest.var, { lo = lo_lo; hi = up_hi - 1 }) :: !ranges;
-          (* largest possible trip count *)
-          max 0 ((up_hi - lo_lo + l.Loop_nest.step - 1) / l.Loop_nest.step)
-        end)
-      nest.Loop_nest.loops
-  in
-  (!ranges, trips)
-
-(* ---------------------------------------------------------------- *)
-(* Pair classification                                               *)
-(* ---------------------------------------------------------------- *)
-
 let fold_params params a =
   Affine.subst
     (fun v ->
@@ -222,79 +179,6 @@ let fold_params params a =
       | Some k -> Some (Affine.const k)
       | None -> None)
     a
-
-let classify ~line_bytes ~params ~ranges ~trips (nest : Loop_nest.t)
-    (ra : Array_ref.t) (rb : Array_ref.t) =
-  let pvar = (Loop_nest.parallel_loop nest).Loop_nest.var in
-  let pstep = (Loop_nest.parallel_loop nest).Loop_nest.step in
-  let ptrip = List.nth trips nest.Loop_nest.parallel_depth in
-  if ptrip <= 1 then Independent (* at most one parallel iteration *)
-  else begin
-    let offa = fold_params params ra.Array_ref.offset in
-    let offb = fold_params params rb.Array_ref.offset in
-    (* the second iteration's variables, renamed *)
-    let offb' =
-      Affine.subst (fun v -> Some (Affine.var (prime v))) offb
-    in
-    let d = Affine.sub offa offb' in
-    (* primed variables share the unprimed intervals *)
-    let ranges2 =
-      ranges @ List.map (fun (v, r) -> (prime v, r)) ranges
-    in
-    let dist = "+dist" in
-    (* substitute pvar' = pvar +/- step*dist with dist >= 1: the two
-       iterations differ at the parallel level *)
-    let subst_dir sign =
-      Affine.subst
-        (fun v ->
-          if v = prime pvar then
-            Some
-              (Affine.add (Affine.var pvar)
-                 (Affine.scale (sign * pstep) (Affine.var dist)))
-          else None)
-        d
-    in
-    let ranges3 = (dist, { lo = 1; hi = max 1 (ptrip - 1) }) :: ranges2 in
-    (* Coupling reduction: when a variable and its primed copy occur with
-       opposite coefficients k*v - k*v', collapse them into a single
-       difference variable over the symmetric interval.  This often drops
-       the expression to <= 2 variables, where [feasible] is exact. *)
-    let couple a =
-      let rs = ref ranges3 in
-      let a =
-        List.fold_left
-          (fun a (v, (r : interval)) ->
-            let kv = Affine.coeff a v and kp = Affine.coeff a (prime v) in
-            if kv <> 0 && kp = -kv then begin
-              let dv = "+d" ^ v in
-              let w = r.hi - r.lo in
-              rs := (dv, { lo = -w; hi = w }) :: !rs;
-              Affine.subst
-                (fun u ->
-                  if u = v then Some (Affine.var dv)
-                  else if u = prime v then Some (Affine.const 0)
-                  else None)
-                a
-            end
-            else a)
-          a ranges
-      in
-      (!rs, a)
-    in
-    let feasible_window ~tlo ~thi =
-      let check sign =
-        let rs, a = couple (subst_dir sign) in
-        feasible rs a ~tlo ~thi
-      in
-      check 1 || check (-1)
-    in
-    let sza = ra.Array_ref.size_bytes and szb = rb.Array_ref.size_bytes in
-    if feasible_window ~tlo:(-(szb - 1)) ~thi:(sza - 1) then Loop_carried
-    else if
-      feasible_window ~tlo:(-(line_bytes - 1)) ~thi:(line_bytes - 1)
-    then Line_conflict
-    else Independent
-  end
 
 (* ---------------------------------------------------------------- *)
 (* Exact backend: Omega-test feasibility over the iteration polyhedron *)
@@ -310,8 +194,6 @@ let witness_to_string w =
   in
   match w.w_params with [] -> core | ps -> binds ps ^ ": " ^ core
 
-exception Free_ident of string
-
 (* The exact encoding of one nest's pair of iterations: every loop
    variable [v] with step [s] is normalized as [v = lo + s*k] with a
    fresh counter [k >= 0], so strides and lower bounds are built into
@@ -324,8 +206,8 @@ exception Free_ident of string
    [c*q <= e <= c*q + c - 1] (exact when [e] is provably non-negative,
    where C truncation and floor agree).  Identifiers bound neither by
    [params] nor by an enclosing loop become shared non-negative solver
-   variables when [free_ok], so the backend can decide nests the
-   interval box rejects. *)
+   variables, so the backend can decide nests whose bounds the interval
+   box cannot express. *)
 type xbox = {
   mutable xrows : Affine.t list;
   xval_a : (string * Affine.t) list;  (* loop var -> value, iteration A *)
@@ -334,7 +216,6 @@ type xbox = {
   xka : string;  (* parallel counter, iteration A *)
   xkb : string;  (* parallel counter, iteration B *)
   mutable xfresh : int;
-  xfree_ok : bool;
   xparams : (string * int) list;
 }
 
@@ -356,7 +237,6 @@ let provably_nonneg a =
 
 let xregister xb v =
   if not (List.mem v xb.xfree) then begin
-    if not xb.xfree_ok then raise (Free_ident v);
     xb.xfree <- v :: xb.xfree;
     xb.xrows <- Affine.var v :: xb.xrows
   end
@@ -423,7 +303,7 @@ let rec xcomp xb ~params env (e : Minic.Ast.expr) =
       | _ -> raise (Not_analyzable "non-affine bound"))
   | _ -> raise (Not_analyzable "non-affine bound")
 
-let exact_box ~params ~free_ok (nest : Loop_nest.t) =
+let exact_box ~params (nest : Loop_nest.t) =
   let pvar = (Loop_nest.parallel_loop nest).Loop_nest.var in
   let xb =
     {
@@ -434,7 +314,6 @@ let exact_box ~params ~free_ok (nest : Loop_nest.t) =
       xka = kvar pvar;
       xkb = kvar' pvar;
       xfresh = 0;
-      xfree_ok = free_ok;
       xparams = params;
     }
   in
@@ -595,66 +474,9 @@ let exact_classify ~line_bytes ~exact_budget xb ~region_rows
   | exception Exact.Out_of_budget ->
       fallback (Printf.sprintf "budget exhausted after %d steps" exact_budget)
   | exception Not_analyzable m -> fallback m
-  | exception Free_ident v -> fallback ("unbound identifier '" ^ v ^ "'")
-
-let pairs ~line_bytes ~params ?(exact : exact_mode = `Auto)
-    ?(exact_budget = default_exact_budget) (nest : Loop_nest.t) =
-  let refs = Array.of_list nest.Loop_nest.refs in
-  let n = Array.length refs in
-  let interesting i j =
-    let a = refs.(i) and b = refs.(j) in
-    a.Array_ref.base = b.Array_ref.base
-    && (Array_ref.is_write a || Array_ref.is_write b)
-  in
-  let make verdict_of =
-    let acc = ref [] in
-    for i = 0 to n - 1 do
-      for j = i to n - 1 do
-        if interesting i j then begin
-          let verdict, ev = verdict_of refs.(i) refs.(j) in
-          acc := { a = refs.(i); b = refs.(j); verdict; ev } :: !acc
-        end
-      done
-    done;
-    List.rev !acc
-  in
-  let concrete =
-    match box ~params nest with
-    | ranges, trips -> `Box (ranges, trips)
-    | exception Exit -> `Empty
-    | exception Not_analyzable m -> `Fail m
-  in
-  let xb =
-    lazy
-      (if exact = `Off then None
-       else
-         match exact_box ~params ~free_ok:true nest with
-         | xb -> Some xb
-         | exception (Not_analyzable _ | Free_ident _) -> None)
-  in
-  make (fun a b ->
-      let banerjee =
-        match concrete with
-        | `Empty -> (Independent, banerjee_ev ~must:true)
-        | `Fail m -> (Unknown m, banerjee_ev ~must:false)
-        | `Box (ranges, trips) -> (
-            match classify ~line_bytes ~params ~ranges ~trips nest a b with
-            | Independent -> (Independent, banerjee_ev ~must:true)
-            | v -> (v, banerjee_ev ~must:false)
-            | exception Not_analyzable m ->
-                (Unknown m, banerjee_ev ~must:false))
-      in
-      match banerjee with
-      | Independent, _ -> banerjee
-      | v0, _ -> (
-          match Lazy.force xb with
-          | None -> banerjee
-          | Some xb ->
-              exact_classify ~line_bytes ~exact_budget xb ~region_rows:[] a b
-                v0))
 
 (* ---------------------------------------------------------------- *)
-(* Parametric (symbolic) analysis                                    *)
+(* Verdict trees: the one analysis, concrete nests a single leaf    *)
 (* ---------------------------------------------------------------- *)
 
 type spair = {
@@ -686,12 +508,16 @@ let sbounds sranges a =
           Affine.add hi (Affine.scale k r.slo) ))
     lpart (ppart, ppart)
 
-(* The symbolic iteration box: like [box], but identifiers that are
-   neither parameters nor enclosing loop variables become free symbolic
-   parameters instead of errors.  Returns the per-loop-variable symbolic
-   value intervals (outermost first in reverse, as [box]) and the free
-   parameters encountered, in order of first appearance. *)
-let sbox ~params (nest : Loop_nest.t) =
+(* The iteration box: loop bounds evaluated outermost-in, each as an
+   affine expression over parameters (folded to constants) and
+   enclosing loop variables (interval-propagated), giving every loop
+   variable a value interval with affine-in-parameters endpoints (most
+   recent first).  Identifiers that are neither parameters nor
+   enclosing loop variables become free symbolic parameters, returned
+   in order of first appearance; when [concrete] they are errors
+   instead, and the box stops at the first certainly-empty loop with
+   [Exit] (the bounds below it never run). *)
+let sbox ~concrete ~params (nest : Loop_nest.t) =
   let sranges = ref [] in
   let free = ref [] in
   let lookup v =
@@ -699,6 +525,7 @@ let sbox ~params (nest : Loop_nest.t) =
     | Some k -> Some (Affine.const k)
     | None ->
         if List.mem_assoc v !sranges then Some (Affine.var v)
+        else if concrete then None
         else begin
           if not (List.mem v !free) then free := v :: !free;
           Some (Affine.var v)
@@ -710,16 +537,22 @@ let sbox ~params (nest : Loop_nest.t) =
         match Affine.of_expr lookup e with
         | Some a -> a
         | None ->
+            (* symbolically every identifier is bindable, so only a
+               concrete box can blame an unbound one *)
             raise
               (Not_analyzable
-                 (Printf.sprintf "bound of loop %s is not affine"
-                    l.Loop_nest.var))
+                 (bound_error ~params
+                    ~known:(fun v ->
+                      (not concrete) || List.mem_assoc v !sranges)
+                    l e))
       in
       let lo_lo, _ = sbounds !sranges (aff_of l.Loop_nest.lower) in
       let _, up_hi = sbounds !sranges (aff_of l.Loop_nest.upper_excl) in
-      sranges :=
-        (l.Loop_nest.var, { slo = lo_lo; shi = Affine.sub up_hi (Affine.const 1) })
-        :: !sranges)
+      let r = { slo = lo_lo; shi = Affine.sub up_hi (Affine.const 1) } in
+      (match Affine.is_const (Affine.sub r.shi r.slo) with
+      | Some w when concrete && w < 0 -> raise Exit
+      | _ -> ());
+      sranges := (l.Loop_nest.var, r) :: !sranges)
     nest.Loop_nest.loops;
   (!sranges, List.rev !free)
 
@@ -878,16 +711,25 @@ let classify_sym ~line_bytes ~params ~sranges ~ctx (nest : Loop_nest.t)
   let pvar = (Loop_nest.parallel_loop nest).Loop_nest.var in
   let pstep = (Loop_nest.parallel_loop nest).Loop_nest.step in
   let spr = List.assoc pvar sranges in
-  (* parallel iterations apart; [shi - slo] equals ptrip - 1 for unit
-     steps and over-approximates it otherwise (which can only weaken
-     may-verdicts, never [Independent]) *)
   let width = Affine.sub spr.shi spr.slo in
+  (* parallel iterations apart: exactly [width / pstep] (the trip count
+     minus one) when the width is constant; a symbolic width
+     over-approximates it for non-unit steps, since the floor is not
+     affine in the parameters (which can only weaken may-verdicts,
+     never [Independent]) *)
+  let max_dist =
+    match Affine.is_const width with
+    | Some w -> Affine.const (w / pstep)
+    | None -> width
+  in
   let offa = fold_params params ra.Array_ref.offset in
   let offb = fold_params params rb.Array_ref.offset in
   let offb' = Affine.subst (fun v -> Some (Affine.var (prime v))) offb in
   let d = Affine.sub offa offb' in
   let sranges2 = sranges @ List.map (fun (v, r) -> (prime v, r)) sranges in
   let dist = "+dist" in
+  (* substitute pvar' = pvar +/- step*dist with dist >= 1: the two
+     iterations differ at the parallel level *)
   let subst_dir sign =
     Affine.subst
       (fun v ->
@@ -898,7 +740,13 @@ let classify_sym ~line_bytes ~params ~sranges ~ctx (nest : Loop_nest.t)
         else None)
       d
   in
-  let sranges3 = (dist, { slo = Affine.const 1; shi = width }) :: sranges2 in
+  let sranges3 =
+    (dist, { slo = Affine.const 1; shi = max_dist }) :: sranges2
+  in
+  (* Coupling reduction: when a variable and its primed copy occur with
+     opposite coefficients k*v - k*v', collapse them into a single
+     difference variable over the symmetric interval.  This often drops
+     the expression to <= 2 variables, where [feasible] is exact. *)
   let couple a =
     let rs = ref sranges3 in
     let a =
@@ -941,8 +789,7 @@ let classify_sym ~line_bytes ~params ~sranges ~ctx (nest : Loop_nest.t)
               | false -> Symbolic.leaf Independent))
   in
   let tree =
-    (* the symbolic counterpart of [classify]'s [ptrip <= 1] shortcut: a
-       second parallel iteration exists only when [slo + pstep <= shi].
+    (* a second parallel iteration exists only when [slo + pstep <= shi].
        Below that threshold the distance range is empty, but the
        per-atom Banerjee conditions cannot see that (each endpoint
        inequality can hold even when the interval itself is empty), so
@@ -958,7 +805,7 @@ let classify_sym ~line_bytes ~params ~sranges ~ctx (nest : Loop_nest.t)
    an enclosing loop: the nest is parametric exactly when this is
    non-empty. *)
 let free_params ~params (nest : Loop_nest.t) =
-  match sbox ~params nest with
+  match sbox ~concrete:false ~params nest with
   | _, free -> free
   | exception Not_analyzable _ ->
       (* bounds the symbolic box cannot express (e.g. [n / 2]): the
@@ -1024,8 +871,15 @@ let refine_sym ~line_bytes ~exact_budget ~ctx xb ra rb tree =
   in
   go [] tree
 
-let pairs_sym ~line_bytes ~params ?(exact : exact_mode = `Auto)
-    ?(exact_budget = default_exact_budget) ?extent_of (nest : Loop_nest.t) =
+(* The one dependence analysis.  Every same-base pair with a write gets
+   a verdict tree over the free parameters: the Banerjee/GCD tier
+   ([classify_sym]) builds it, and the exact tier re-decides every
+   non-independent leaf under its region.  With [concrete] no free
+   parameter exists (bounds naming unbound identifiers take the
+   exact-tier branch below, as inexpressible ones do), so every tree is
+   a single leaf. *)
+let analyze ~concrete ~line_bytes ~params ~exact ~exact_budget ?extent_of
+    (nest : Loop_nest.t) =
   let refs = Array.of_list nest.Loop_nest.refs in
   let n = Array.length refs in
   let interesting i j =
@@ -1048,15 +902,21 @@ let pairs_sym ~line_bytes ~params ?(exact : exact_mode = `Auto)
   let mk_xb () =
     if exact = `Off then None
     else
-      match exact_box ~params ~free_ok:true nest with
+      match exact_box ~params nest with
       | xb -> Some xb
-      | exception (Not_analyzable _ | Free_ident _) -> None
+      | exception Not_analyzable _ -> None
   in
   let plain m = Symbolic.map m (fun v -> (v, banerjee_ev ~must:(v = Independent))) in
-  match sbox ~params nest with
+  let independent ctx free =
+    ( make (fun _ _ -> Symbolic.leaf (Independent, banerjee_ev ~must:true)),
+      ctx,
+      free )
+  in
+  match sbox ~concrete ~params nest with
+  | exception Exit -> independent Symbolic.empty []
   | exception Not_analyzable m -> (
-      (* the symbolic box cannot express the bounds; the exact backend
-         may still decide the nest with the unbound identifiers as free
+      (* the box cannot express the bounds; the exact backend may still
+         decide the nest with the unbound identifiers as free
          non-negative parameters *)
       match mk_xb () with
       | None ->
@@ -1112,10 +972,7 @@ let pairs_sym ~line_bytes ~params ?(exact : exact_mode = `Auto)
             Symbolic.decide ctx (Affine.sub r.shi r.slo) = `False)
           sranges
       in
-      if certainly_empty then
-        ( make (fun _ _ -> Symbolic.leaf (Independent, banerjee_ev ~must:true)),
-          ctx,
-          free )
+      if certainly_empty then independent ctx free
       else
         let xb = lazy (mk_xb ()) in
         ( make (fun a b ->
@@ -1132,3 +989,20 @@ let pairs_sym ~line_bytes ~params ?(exact : exact_mode = `Auto)
                     (refine_sym ~line_bytes ~exact_budget ~ctx xb a b tree)),
           ctx,
           free )
+
+let pairs_sym ~line_bytes ~params ?(exact : exact_mode = `Auto)
+    ?(exact_budget = default_exact_budget) ?extent_of nest =
+  analyze ~concrete:false ~line_bytes ~params ~exact ~exact_budget ?extent_of
+    nest
+
+let pairs ~line_bytes ~params ?(exact : exact_mode = `Auto)
+    ?(exact_budget = default_exact_budget) nest =
+  let spairs, _, _ =
+    analyze ~concrete:true ~line_bytes ~params ~exact ~exact_budget nest
+  in
+  List.map
+    (fun sp ->
+      match sp.scases with
+      | Symbolic.Leaf (verdict, ev) -> { a = sp.sa; b = sp.sb; verdict; ev }
+      | Symbolic.If _ -> assert false (* no free parameter, no split *))
+    spairs

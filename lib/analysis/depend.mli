@@ -7,7 +7,10 @@
     overlapping bytes (a false-sharing candidate), or can do neither
     (independent).
 
-    Two decision tiers run in sequence:
+    One analysis decides every nest, concrete or parametric.  It gives
+    each pair a verdict tree over the nest's free parameters ({!pairs_sym});
+    a concrete nest has none, so its tree is a single leaf ({!pairs}).
+    Each leaf is decided by two tiers in turn:
 
     - {b Banerjee + GCD} (always): the difference of the two byte offsets
       is formed as an affine expression over the loop variables of both
@@ -18,7 +21,7 @@
       coefficient GCD admits no solution inside it.  Both tests are
       sufficient conditions for independence, so conflict verdicts are
       {e may} results and [Independent] is a {e must} result.
-    - {b Exact (Omega test)} (unless [~exact:`Off]): every pair the first
+    - {b Exact (Omega test)} (unless [~exact:`Off]): every leaf the first
       tier could not prove independent is re-decided by {!Exact}, an exact
       integer-feasibility procedure over the full iteration polyhedron
       (strides, coupled subscripts, shared outer loops, divisions by
@@ -96,20 +99,18 @@ val pairs :
   pair list
 (** All unordered same-base pairs with at least one write (a reference is
     also paired with itself: a write that different parallel iterations
-    aim at the same address is a write-write race).  Loop bounds are
-    interval-evaluated outermost-in; bounds the interval box rejects
-    (non-affine, unbound identifiers) yield [Unknown] from the first
-    tier, but the exact tier can still decide them — treating unbound
-    identifiers as free non-negative parameters, in which case conflict
-    witnesses name the parameter values they instantiate and [ev_must]
-    stays false.  [exact_budget] caps the solver steps spent per pair. *)
+    aim at the same address is a write-write race).  This is {!pairs_sym}
+    with no free parameter, so each verdict tree is a single leaf.  Loop
+    bounds are interval-evaluated outermost-in; bounds the interval box
+    rejects (non-affine, or naming an identifier [params] does not bind)
+    yield [Unknown] from the Banerjee tier, but the exact tier can still
+    decide them — treating unbound identifiers as free non-negative
+    parameters, in which case conflict witnesses name the parameter
+    values they instantiate and [ev_must] stays false.  [exact_budget]
+    caps the solver steps spent per pair. *)
 
 val verdict_name : verdict -> string
 val backend_name : backend -> string
-
-val banerjee_ev : must:bool -> evidence
-(** First-tier evidence with no witness — the default for callers that
-    synthesize findings outside the dependence analysis. *)
 
 val witness_to_string : witness -> string
 (** ["i=0, j=477 vs i'=1, j'=0"], prefixed with ["n=66: "] when the
@@ -156,21 +157,23 @@ val pairs_sym :
     order of first appearance.
 
     Soundness mirrors {!pairs} regionwise: in any region, [Independent]
-    is a must-result, conflict verdicts are may-results.  When every
-    range is concrete the tree is a single leaf equal to the {!pairs}
-    verdict.  With free parameters the tree {e refines} the concrete
-    analysis: instantiating it at any parameter value yields a verdict
-    at least as severe as {!pairs} at that value — never [Independent]
-    where the concrete analysis reports a conflict, never
+    is a must-result, conflict verdicts are may-results.  A concrete nest
+    is a single leaf by construction: {!pairs} is this analysis with no
+    free parameter.  With free parameters the tree {e refines} the
+    concrete analysis: instantiating it at any parameter value yields a
+    verdict at least as severe as {!pairs} at that value — never
+    [Independent] where the concrete analysis reports a conflict, never
     [Line_conflict] where it reports [Loop_carried].  (Feasibility is
-    monotone in the variable ranges on every test path, and the
-    symbolic analysis only ever widens ranges: companion variables are
+    monotone in the variable ranges on every test path, and the symbolic
+    analysis only ever widens ranges: companion variables are
     over-approximated by their parameter-context hulls during
-    feasibility probing, and with a non-unit parallel step the distance
-    range over-approximates the trip count, which is not affine in the
-    parameter.)  The symbolic analysis can therefore be conservative
-    where the concrete analysis proves independence, but the empty- and
-    single-iteration regions are always recognized exactly.
+    feasibility probing, and when the parallel range's width is symbolic
+    and the step is not 1, the distance range over-approximates the trip
+    count, which is not affine in the parameter.  A constant-width
+    parallel range gets the exact distance bound at any step.)  The
+    symbolic analysis can therefore be conservative where the concrete
+    analysis proves independence, but the empty- and single-iteration
+    regions are always recognized exactly.
 
     The exact tier preserves the contract region-wise: under every
     satisfiable path the leaf is re-decided with the path atoms and the

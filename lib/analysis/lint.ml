@@ -79,44 +79,8 @@ let ev_fields (ev : Depend.evidence) =
   in
   (backend, Option.map Depend.witness_to_string ev.Depend.ev_witness)
 
-(* With --exact on (not auto), budget fallbacks become findings of
-   their own instead of silent SARIF properties. *)
-let fallback_findings ~opts ~func pairs_ev =
-  if opts.exact <> `On then []
-  else
-    List.filter_map
-      (fun (span, repr_a, repr_b, (ev : Depend.evidence)) ->
-        match ev.Depend.ev_backend with
-        | Depend.Fallback msg ->
-            Some
-              {
-                Diag.rule = "analysis/exact-budget";
-                severity = Diag.Warning;
-                span;
-                func;
-                message =
-                  Printf.sprintf
-                    "exact backend fell back to banerjee for %s vs %s: %s \
-                     (raise --exact-budget)"
-                    repr_a repr_b msg;
-                fixits = [];
-                region = None;
-                symbolic = None;
-                attribution = [];
-                backend = Some (Depend.backend_name ev.Depend.ev_backend);
-                witness = None;
-                reason = None;
-                cost = None;
-                sched = None;
-                dist = None;
-                fix_verified = None;
-              }
-        | _ -> None)
-      pairs_ev
-
 (* One finding per racy pair. *)
-let race_finding ~func ?region ?(ev = Depend.banerjee_ev ~must:false)
-    (a : Array_ref.t) (b : Array_ref.t) =
+let race_finding ~func ?region ~ev (a : Array_ref.t) (b : Array_ref.t) =
   let backend, witness = ev_fields ev in
   {
     Diag.rule = "race/loop-carried";
@@ -142,39 +106,88 @@ let race_finding ~func ?region ?(ev = Depend.banerjee_ev ~must:false)
     fix_verified = None;
   }
 
-(* Unknown verdicts collapse to one finding per distinct reason. *)
-let unknown_findings ~func pairs =
+(* The race, unknown and exact-budget findings of one nest, from rows
+   [(a, b, paths)]: each path is the region conditions a pair's verdict
+   holds under, with that verdict and its evidence.  A concrete pair is
+   one unconditional path; [region] renders a path's conditions ([None]
+   for concrete nests).  Unknown verdicts collapse to one finding per
+   distinct reason.  With --exact on (not auto), budget fallbacks become
+   findings of their own instead of silent SARIF properties. *)
+let dependence_findings ~opts ~func ~region rows =
+  let each f =
+    List.concat_map
+      (fun ((a : Array_ref.t), (b : Array_ref.t), paths) ->
+        List.filter_map (fun (conds, (v, ev)) -> f a b conds v ev) paths)
+      rows
+  in
+  let races =
+    each (fun a b conds v ev ->
+        if v = Depend.Loop_carried then
+          Some (race_finding ~func ?region:(region conds) ~ev a b)
+        else None)
+  in
   let seen = Hashtbl.create 4 in
-  List.filter_map
-    (fun (p : Depend.pair) ->
-      match p.Depend.verdict with
-      | Depend.Unknown reason when not (Hashtbl.mem seen reason) ->
-          Hashtbl.add seen reason ();
-          let backend, witness = ev_fields p.Depend.ev in
-          Some
-            {
-              Diag.rule = "analysis/unknown";
-              severity = Diag.Warning;
-              span = span_of_pair p;
-              func;
-              message =
-                Printf.sprintf
-                  "cannot prove %s and %s independent: %s"
-                  p.Depend.a.Array_ref.repr p.Depend.b.Array_ref.repr reason;
-              fixits = [];
-              region = None;
-              symbolic = None;
-              attribution = [];
-              backend;
-              witness;
-              reason = Some reason;
-              cost = None;
-              sched = None;
-              dist = None;
-              fix_verified = None;
-            }
-      | _ -> None)
-    pairs
+  let unknowns =
+    each (fun a b conds v ev ->
+        match v with
+        | Depend.Unknown reason when not (Hashtbl.mem seen reason) ->
+            Hashtbl.add seen reason ();
+            let backend, witness = ev_fields ev in
+            Some
+              {
+                Diag.rule = "analysis/unknown";
+                severity = Diag.Warning;
+                span = span_of_refs a b;
+                func;
+                message =
+                  Printf.sprintf "cannot prove %s and %s independent: %s"
+                    a.Array_ref.repr b.Array_ref.repr reason;
+                fixits = [];
+                region = region conds;
+                symbolic = None;
+                attribution = [];
+                backend;
+                witness;
+                reason = Some reason;
+                cost = None;
+                sched = None;
+                dist = None;
+                fix_verified = None;
+              }
+        | _ -> None)
+  in
+  let fallbacks =
+    if opts.exact <> `On then []
+    else
+      each (fun a b _ _ (ev : Depend.evidence) ->
+          match ev.Depend.ev_backend with
+          | Depend.Fallback msg ->
+              Some
+                {
+                  Diag.rule = "analysis/exact-budget";
+                  severity = Diag.Warning;
+                  span = span_of_refs a b;
+                  func;
+                  message =
+                    Printf.sprintf
+                      "exact backend fell back to banerjee for %s vs %s: %s \
+                       (raise --exact-budget)"
+                      a.Array_ref.repr b.Array_ref.repr msg;
+                  fixits = [];
+                  region = None;
+                  symbolic = None;
+                  attribution = [];
+                  backend = Some (Depend.backend_name ev.Depend.ev_backend);
+                  witness = None;
+                  reason = None;
+                  cost = None;
+                  sched = None;
+                  dist = None;
+                  fix_verified = None;
+                }
+          | _ -> None)
+  in
+  (races, unknowns, fallbacks)
 
 (* Quantify a nest's false sharing: certified closed form when it
    applies, the exact engine otherwise — except under [--cost-model
@@ -573,71 +586,26 @@ let lint_nest_sym ~opts ~checked ~func nest =
     Depend.pairs_sym ~line_bytes ~params ~exact:opts.exact
       ~exact_budget:opts.exact_budget ~extent_of nest
   in
-  let with_paths =
+  let rows =
     List.map
       (fun (sp : Depend.spair) ->
-        (sp, Symbolic.paths ctx sp.Depend.scases))
+        (sp.Depend.sa, sp.Depend.sb, Symbolic.paths ctx sp.Depend.scases))
       spairs
   in
-  let races =
-    List.concat_map
-      (fun ((sp : Depend.spair), paths) ->
-        List.filter_map
-          (fun (conds, (v, ev)) ->
-            if v = Depend.Loop_carried then
-              Some
-                (race_finding ~func
-                   ~region:(region_string ~ctx ~free conds)
-                   ~ev sp.Depend.sa sp.Depend.sb)
-            else None)
-          paths)
-      with_paths
-  in
-  let unknowns =
-    let seen = Hashtbl.create 4 in
-    List.concat_map
-      (fun ((sp : Depend.spair), paths) ->
-        List.filter_map
-          (fun (conds, (v, ev)) ->
-            match v with
-            | Depend.Unknown reason when not (Hashtbl.mem seen reason) ->
-                Hashtbl.add seen reason ();
-                let backend, witness = ev_fields ev in
-                Some
-                  {
-                    Diag.rule = "analysis/unknown";
-                    severity = Diag.Warning;
-                    span = span_of_refs sp.Depend.sa sp.Depend.sb;
-                    func;
-                    message =
-                      Printf.sprintf "cannot prove %s and %s independent: %s"
-                        sp.Depend.sa.Array_ref.repr
-                        sp.Depend.sb.Array_ref.repr reason;
-                    fixits = [];
-                    region = Some (region_string ~ctx ~free conds);
-                    symbolic = None;
-                    attribution = [];
-                    backend;
-                    witness;
-                    reason = Some reason;
-                    cost = None;
-                    sched = None;
-                    dist = None;
-                    fix_verified = None;
-                  }
-            | _ -> None)
-          paths)
-      with_paths
+  let races, unknowns, fallbacks =
+    dependence_findings ~opts ~func
+      ~region:(fun conds -> Some (region_string ~ctx ~free conds))
+      rows
   in
   (* conflicting pairs grouped by base, each with its region *)
   let conflicts =
     List.concat_map
-      (fun ((sp : Depend.spair), paths) ->
+      (fun (a, b, paths) ->
         List.filter_map
           (fun (conds, (v, ev)) ->
-            if v = Depend.Line_conflict then Some (sp, conds, ev) else None)
+            if v = Depend.Line_conflict then Some (a, b, conds, ev) else None)
           paths)
-      with_paths
+      rows
   in
   let fs =
     if conflicts = [] then []
@@ -655,35 +623,33 @@ let lint_nest_sym ~opts ~checked ~func nest =
       let bases =
         List.sort_uniq compare
           (List.map
-             (fun ((sp : Depend.spair), _, _) -> sp.Depend.sa.Array_ref.base)
+             (fun ((a : Array_ref.t), _, _, _) -> a.Array_ref.base)
              conflicts)
       in
       List.map
         (fun base ->
           let ps =
             List.filter
-              (fun ((sp : Depend.spair), _, _) ->
-                sp.Depend.sa.Array_ref.base = base)
+              (fun ((a : Array_ref.t), _, _, _) -> a.Array_ref.base = base)
               conflicts
           in
-          let (example, _, ev) = List.hd ps in
+          let ea, eb, _, ev = List.hd ps in
           let span =
             List.fold_left
-              (fun s ((sp : Depend.spair), _, _) ->
-                Minic.Span.join s (span_of_refs sp.Depend.sa sp.Depend.sb))
+              (fun s (a, b, _, _) -> Minic.Span.join s (span_of_refs a b))
               Minic.Span.none ps
           in
           (* the widest region among this base's conflicting paths *)
           let region =
             match ps with
-            | (_, conds, _) :: rest
-              when List.for_all (fun (_, c, _) -> c = conds) rest ->
+            | (_, _, conds, _) :: rest
+              when List.for_all (fun (_, _, c, _) -> c = conds) rest ->
                 region_string ~ctx ~free conds
             | _ ->
                 String.concat "; or "
                   (List.sort_uniq compare
                      (List.map
-                        (fun (_, conds, _) -> region_string ~ctx ~free conds)
+                        (fun (_, _, conds, _) -> region_string ~ctx ~free conds)
                         ps))
           in
           let backend, witness = ev_fields ev in
@@ -696,8 +662,7 @@ let lint_nest_sym ~opts ~checked ~func nest =
               Printf.sprintf
                 "%s and %s are byte-disjoint across parallel iterations but \
                  may share a cache line; %s"
-                example.Depend.sa.Array_ref.repr
-                example.Depend.sb.Array_ref.repr quant;
+                ea.Array_ref.repr eb.Array_ref.repr quant;
             fixits = [];
             region = Some region;
             symbolic = formula;
@@ -713,19 +678,6 @@ let lint_nest_sym ~opts ~checked ~func nest =
         bases
     end
   in
-  let fallbacks =
-    fallback_findings ~opts ~func
-      (List.concat_map
-         (fun ((sp : Depend.spair), paths) ->
-           List.map
-             (fun (_, (_, ev)) ->
-               ( span_of_refs sp.Depend.sa sp.Depend.sb,
-                 sp.Depend.sa.Array_ref.repr,
-                 sp.Depend.sb.Array_ref.repr,
-                 ev ))
-             paths)
-         with_paths)
-  in
   races @ unknowns @ fs @ fallbacks
 
 let lint_nest ~opts ~checked ~func ~advice ~fixv nest =
@@ -738,11 +690,20 @@ let lint_nest ~opts ~checked ~func ~advice ~fixv nest =
       Depend.pairs ~line_bytes ~params ~exact:opts.exact
         ~exact_budget:opts.exact_budget nest
     in
-    let with_verdict v =
-      List.filter (fun (p : Depend.pair) -> p.Depend.verdict = v) pairs
+    let races, unknowns, fallbacks =
+      dependence_findings ~opts ~func
+        ~region:(fun _ -> None)
+        (List.map
+           (fun (p : Depend.pair) ->
+             let path = ([], (p.Depend.verdict, p.Depend.ev)) in
+             (p.Depend.a, p.Depend.b, [ path ]))
+           pairs)
     in
-    let races = with_verdict Depend.Loop_carried in
-    let conflicts = with_verdict Depend.Line_conflict in
+    let conflicts =
+      List.filter
+        (fun (p : Depend.pair) -> p.Depend.verdict = Depend.Line_conflict)
+        pairs
+    in
     let cfg =
       {
         (Fsmodel.Model.default_config ~arch:opts.arch ~threads:opts.threads ())
@@ -752,18 +713,9 @@ let lint_nest ~opts ~checked ~func ~advice ~fixv nest =
       }
     in
     let advice = if races = [] then advice else None in
-    List.map
-      (fun (p : Depend.pair) ->
-        race_finding ~func ~ev:p.Depend.ev p.Depend.a p.Depend.b)
-      races
-    @ unknown_findings ~func pairs
+    races @ unknowns
     @ fs_findings ~opts ~checked ~func ~advice ~fixv ~races conflicts cfg nest
-    @ fallback_findings ~opts ~func
-        (List.map
-           (fun (p : Depend.pair) ->
-             (span_of_pair p, p.Depend.a.Array_ref.repr,
-              p.Depend.b.Array_ref.repr, p.Depend.ev))
-           pairs)
+    @ fallbacks
 
 let lint_function ~opts ~checked func =
   match Lower.lower_all checked ~func ~params:(all_params opts) with

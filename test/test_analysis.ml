@@ -391,7 +391,92 @@ let test_depend_verdict_examples () =
          match p.Analysis.Depend.verdict with
          | Analysis.Depend.Unknown _ -> true
          | _ -> false)
-       unknown)
+       unknown);
+  (* a non-unit parallel step bounds the distance by the trip count:
+     i in {0, 3, 6} never reaches a[i + 24], with or without the exact
+     tier *)
+  let stride =
+    parse
+      "double a[600];\nvoid f(void) {\n\
+       #pragma omp parallel for schedule(static,1)\n\
+       for (int i = 0; i < 9; i += 3) { a[i] = a[i + 24] + 1.0; } }"
+  in
+  let nest =
+    Loopir.Lower.lower stride ~func:"f" ~params:[ ("num_threads", 8) ]
+  in
+  let line (p : Analysis.Depend.pair) =
+    Printf.sprintf "%s vs %s: %s [%s%s]" p.a.Loopir.Array_ref.repr
+      p.b.Loopir.Array_ref.repr
+      (Analysis.Depend.verdict_name p.verdict)
+      (Analysis.Depend.backend_name p.ev.Analysis.Depend.ev_backend)
+      (if p.ev.Analysis.Depend.ev_must then ", must" else "")
+  in
+  List.iter
+    (fun (name, exact) ->
+      let lines =
+        List.map line
+          (Analysis.Depend.pairs ~line_bytes:64
+             ~params:[ ("num_threads", 8) ]
+             ?exact nest)
+      in
+      check Alcotest.bool
+        ("step 3, exact " ^ name ^ ": " ^ String.concat "; " lines)
+        true
+        (List.mem "a[i + 24] vs a[i]: independent [banerjee, must]" lines))
+    [ ("off", Some `Off); ("auto", None) ];
+  (* the same stride under a free inner bound: the race needs
+     j' = j + 24 - 3k for k in {1, 2}, so it exists exactly from n = 19 *)
+  let sym =
+    parse
+      "int n;\ndouble a[2][4096];\nvoid f(void) {\n\
+       #pragma omp parallel for schedule(static,1)\n\
+       for (int i = 0; i < 9; i += 3) {\n\
+       for (int j = 0; j < n; j++) { a[0][i + j] = a[0][i + j + 24] + 1.0; \
+       } } }"
+  in
+  let nest = Loopir.Lower.lower sym ~func:"f" ~params:[ ("num_threads", 8) ] in
+  let spairs, _, _ =
+    Analysis.Depend.pairs_sym ~line_bytes:64 ~params:[ ("num_threads", 8) ] nest
+  in
+  let sp =
+    List.find
+      (fun (sp : Analysis.Depend.spair) ->
+        sp.sa.Loopir.Array_ref.repr = "a[0][i + j + 24]"
+        && sp.sb.Loopir.Array_ref.repr = "a[0][i + j]")
+      spairs
+  in
+  let brute n =
+    let off (r : Loopir.Array_ref.t) i j =
+      Loopir.Affine.eval
+        (fun v -> if v = "i" then i else if v = "j" then j else raise Not_found)
+        r.Loopir.Array_ref.offset
+    in
+    let hit = ref false in
+    List.iter
+      (fun i ->
+        List.iter
+          (fun i' ->
+            if i <> i' then
+              for j = 0 to n - 1 do
+                for j' = 0 to n - 1 do
+                  let oa = off sp.sa i j and ob = off sp.sb i' j' in
+                  if oa <= ob + 7 && ob <= oa + 7 then hit := true
+                done
+              done)
+          [ 0; 3; 6 ])
+      [ 0; 3; 6 ];
+    !hit
+  in
+  List.iter
+    (fun (n, race) ->
+      check Alcotest.bool (Printf.sprintf "step 3, n = %d: brute race" n) race
+        (brute n);
+      let v, _ = Analysis.Symbolic.eval (fun _ -> n) sp.scases in
+      check Alcotest.bool
+        (Printf.sprintf "step 3, n = %d: symbolic race" n)
+        race
+        (v = Analysis.Depend.Loop_carried))
+    [ (10, false); (18, false); (19, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* exact integer feasibility (the Omega test)                          *)
