@@ -1,6 +1,6 @@
 .PHONY: all build verify lint-selfcheck parametric-lint exact-tier \
   cost-model-accuracy bench bench-smoke serve-smoke fuzz-smoke fix-verify \
-  sched-smoke doc clean
+  sched-smoke analytic-scaling doc clean
 
 all: build
 
@@ -19,6 +19,7 @@ verify: build
 	$(MAKE) fuzz-smoke
 	$(MAKE) fix-verify
 	$(MAKE) sched-smoke
+	$(MAKE) analytic-scaling
 
 # The lint self-check: clean kernels must pass, the racy fixture must
 # fail (and pass under --fail-on never), the version carries the arch
@@ -101,6 +102,16 @@ sched-smoke: build
 	  -k heat --schedule dynamic --seeds 8 | grep -q 'fs-dist: mean'
 	./_build/default/bin/fsdetect.exe lint --no-fixits --fail-on never \
 	  -k heat --schedule ws,2 --seeds 8 | grep -q 'steal(s)/seed'
+
+# The analytic path is trip-count independent: a billion-iteration
+# saxpy-shaped nest must get its exact closed-form count well inside
+# ten seconds (it takes milliseconds; a line-by-line walk never
+# finishes).  The nest lives outside test/fixtures so the sim-mode
+# fixture loop above never lints it.
+analytic-scaling: build
+	timeout 10 ./_build/default/bin/fsdetect.exe lint --cost-model analytic \
+	  --fail-on never test/scaling/update_1e9.c \
+	  | grep -q '5250000000 false-sharing case(s)'
 
 # API reference via odoc.  The root `dune` file promotes every odoc
 # comment problem (broken {!reference}, bad markup, missing @param) to

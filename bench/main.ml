@@ -15,6 +15,7 @@
      ablate stack-policy / invalidation / associativity / predictor-depth
      compare  compile-time model vs runtime trace detector
      serve  analysis-service cache: cold vs warm latency, batch scaling
+     scaling  analytic lint time and count at N = 1e4 .. 1e9
      micro  bechamel micro-benchmarks (one per table/figure pipeline)
 
    Usage: main.exe [--quick] [--only ID] [--no-micro] [--jobs N]
@@ -1306,6 +1307,82 @@ let micro () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* scaling: the analytic path at N = 1e4 .. 1e9                        *)
+(* ------------------------------------------------------------------ *)
+
+(* n, median analytic-lint seconds, closed-form count, lines walked *)
+let scaling_stats : (int * float * int * int) list ref = ref []
+
+(* The analytic verdict's cost must not grow with the trip count: a
+   saxpy-shaped schedule(static,1) nest over 4-byte elements, linted
+   with --cost-model analytic at N = 1e4 .. 1e9.  The count is exact
+   (5.25 N at 8 threads) and the closed form walks one period of cache
+   lines at every N, so the time should stay flat, under 10 ms. *)
+let scaling_section () =
+  let threads = 8 and target_ms = 10. in
+  Printf.printf
+    "Trip-count independence of the analytic path: lint --cost-model\n\
+     analytic on y[i] += 2.5 * x[i] (float, schedule(static,1), %d\n\
+     threads), median of 3 runs.  Target: flat, under %.0f ms at every N.\n\n"
+    threads target_ms;
+  let opts =
+    { Analysis.Lint.default_options with threads; cost_model = `Analytic }
+  in
+  let rows =
+    List.map
+      (fun e ->
+        let n = int_of_float (10. ** float_of_int e) in
+        let checked =
+          Minic.Typecheck.check_program
+            (Minic.Parser.parse_program
+               (Printf.sprintf
+                  "float x[%d];\nfloat y[%d];\nvoid saxpy(void) {\n  int i;\n\
+                  \  #pragma omp parallel for private(i) schedule(static,1)\n\
+                  \  for (i = 0; i < %d; i++) {\n    y[i] += 2.5 * x[i];\n  \
+                   }\n}\n"
+                  n n n))
+        in
+        let times =
+          List.init 3 (fun _ ->
+              let t0 = Unix.gettimeofday () in
+              ignore (Analysis.Lint.run ~opts ~uri:"scaling.c" checked);
+              Unix.gettimeofday () -. t0)
+        in
+        let dt = List.nth (List.sort compare times) 1 in
+        let nest =
+          Loopir.Lower.lower checked ~func:"saxpy"
+            ~params:[ ("num_threads", threads) ]
+        in
+        let fs, lines =
+          match
+            Analysis.Closed_form.estimate
+              (Fsmodel.Model.default_config ~threads ())
+              ~nest ~checked
+          with
+          | Analysis.Closed_form.Exact i ->
+              ( i.Analysis.Closed_form.fs_cases,
+                i.Analysis.Closed_form.lines_analyzed )
+          | Analysis.Closed_form.Inapplicable _ -> (-1, -1)
+        in
+        scaling_stats := (n, dt, fs, lines) :: !scaling_stats;
+        [
+          Printf.sprintf "1e%d" e;
+          Printf.sprintf "%.2f" (1000. *. dt);
+          string_of_int fs;
+          (if fs = 21 * n / 4 then "yes" else "NO");
+          string_of_int lines;
+          (if 1000. *. dt < target_ms then "yes" else "NO");
+        ])
+      [ 4; 5; 6; 7; 8; 9 ]
+  in
+  print_endline
+    (Fsmodel.Report.table
+       ~header:
+         [ "N"; "lint (ms)"; "FS cases"; "= 5.25 N"; "lines walked";
+           "< 10 ms" ]
+       rows)
+
+(* ------------------------------------------------------------------ *)
 (* BENCH.json                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1444,6 +1521,25 @@ let write_bench_json ~total path =
       sc;
     bpf "  ],\n"
   end;
+  (* scaling: analytic lint of the saxpy shape at N = 1e4 .. 1e9.
+     Schema per entry: n, median lint seconds, closed-form count, lines
+     the closed form walked; plus the flat-time target in ms. *)
+  let sl = List.rev !scaling_stats in
+  if sl <> [] then begin
+    bpf "  \"scaling\": {\n";
+    bpf "    \"target_ms\": 10,\n";
+    bpf "    \"runs\": [\n";
+    List.iteri
+      (fun i (n, dt, fs, lines) ->
+        bpf
+          "      { \"n\": %d, \"seconds\": %.5f, \"fs_cases\": %d, \
+           \"lines_analyzed\": %d }%s\n"
+          n dt fs lines
+          (if i = List.length sl - 1 then "" else ","))
+      sl;
+    bpf "    ]\n";
+    bpf "  },\n"
+  end;
   bpf "  \"fs_counts\": [\n";
   let entries =
     Hashtbl.fold
@@ -1508,6 +1604,7 @@ let () =
     fix_section;
   section "sched" "distributional FS verdicts under seeded schedules"
     sched_section;
+  section "scaling" "the analytic path at N = 1e4 .. 1e9" scaling_section;
   section "micro" "bechamel micro-benchmarks" micro;
   let total = Unix.gettimeofday () -. t0 in
   write_bench_json ~total "BENCH.json";

@@ -19,6 +19,8 @@ let popcount =
 
 let cdiv a b = if a >= 0 then (a + b - 1) / b else -((-a) / b)
 let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
+let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+let lcm a b = if a = 0 || b = 0 then 0 else abs (a * b) / gcd a b
 
 (* A reference resolved within one region: at parallel iteration [q]
    (0-based) it touches bytes [addr0 + stride*q, addr0 + stride*q + size). *)
@@ -51,7 +53,7 @@ type region = {
 (* Per-line simulation state carried across regions: which threads hold
    the line modified (the engine's sticky written bit) and the global
    lockstep step of each thread's last touch. *)
-type lstate = { mutable writers : int; last : int array }
+type lstate = { writers : int ref; last : int array }
 
 let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
   try
@@ -371,76 +373,162 @@ let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
             acc + m)
           0 r.rbases
       in
-      (* enumerate the lines of one countable base in one region; calls
-         [f line events] with events sorted by (parallel step, thread) *)
-      let iter_lines (r : region) (b : binfo) f =
+      (* the cache lines a countable base's references can reach *)
+      let line_range (r : region) (b : binfo) =
+        List.fold_left
+          (fun (l, h) (rf : rref) ->
+            ( min l (fdiv rf.addr0 lb),
+              max h (fdiv (rf.addr0 + (rf.stride * (r.rn - 1)) + rf.size - 1) lb) ))
+          (max_int, min_int) b.brefs
+      in
+      (* Enumerate the lines of one countable base in one region, calling
+         [f line events times] with events sorted by (parallel step,
+         thread).  With one positive stride [s] for every reference, the
+         line [delta] lines on is touched whole rounds of the deal later:
+         same threads, every step shifted alike.  So on each stretch of
+         interior lines (no window clipped at iteration 0 or [rn - 1])
+         that [exclusive] vouches for (per-line state starts empty and
+         nothing else reads it), the first period is walked with [times]
+         = 1 + the whole periods after it, which are skipped.  Every
+         other line is walked once, in ascending order. *)
+      let iter_lines ?(exclusive = fun lo hi -> [ (lo, hi) ]) (r : region)
+          (b : binfo) f =
         let refs = Array.of_list b.brefs in
         let nr = Array.length refs in
-        if nr > 0 then begin
-          let lo =
-            Array.fold_left (fun m (rf : rref) -> min m rf.addr0) max_int refs
-          in
-          let hi =
-            Array.fold_left
-              (fun m (rf : rref) ->
-                max m (rf.addr0 + (rf.stride * (r.rn - 1)) + rf.size - 1))
-              min_int refs
-          in
-          let wins = Array.make nr (1, 0) in
-          for line = fdiv lo lb to fdiv hi lb do
-            let lbyte = line * lb in
-            let q0 = ref max_int and q1 = ref min_int in
-            for k = 0 to nr - 1 do
-              let rf = refs.(k) in
-              let w =
-                if rf.stride > 0 then
-                  ( max 0 (cdiv (lbyte - rf.addr0 - rf.size + 1) rf.stride),
-                    min (r.rn - 1) (fdiv (lbyte + lb - 1 - rf.addr0) rf.stride)
-                  )
-                else if rf.addr0 <= lbyte + lb - 1 && rf.addr0 + rf.size - 1 >= lbyte
-                then (0, r.rn - 1)
-                else (1, 0)
-              in
-              wins.(k) <- w;
-              let a, z = w in
-              if a <= z then begin
-                if a < !q0 then q0 := a;
-                if z > !q1 then q1 := z
-              end
-            done;
-            if !q0 <= !q1 then begin
-              tick (!q1 - !q0 + 1);
-              let evs = ref [] in
-              for q = !q0 to !q1 do
-                let cov = ref false and w = ref false in
-                for k = 0 to nr - 1 do
-                  let a, z = wins.(k) in
-                  if q >= a && q <= z then begin
-                    cov := true;
-                    if refs.(k).write then w := true
-                  end
-                done;
-                if !cov then begin
-                  let cidx = q / r.rchunk in
-                  let t = cidx mod threads in
-                  let kpar =
-                    ((cidx / threads) * r.rchunk) + (q mod r.rchunk)
-                  in
-                  evs := (kpar, t, !w) :: !evs
+        let wins = Array.make nr (1, 0) in
+        let visit line times =
+          let lbyte = line * lb in
+          let q0 = ref max_int and q1 = ref min_int in
+          for k = 0 to nr - 1 do
+            let rf = refs.(k) in
+            let w =
+              if rf.stride > 0 then
+                ( max 0 (cdiv (lbyte - rf.addr0 - rf.size + 1) rf.stride),
+                  min (r.rn - 1) (fdiv (lbyte + lb - 1 - rf.addr0) rf.stride)
+                )
+              else if rf.addr0 <= lbyte + lb - 1 && rf.addr0 + rf.size - 1 >= lbyte
+              then (0, r.rn - 1)
+              else (1, 0)
+            in
+            wins.(k) <- w;
+            let a, z = w in
+            if a <= z then begin
+              if a < !q0 then q0 := a;
+              if z > !q1 then q1 := z
+            end
+          done;
+          if !q0 <= !q1 then begin
+            tick (!q1 - !q0 + 1);
+            let evs = ref [] in
+            for q = !q0 to !q1 do
+              let cov = ref false and w = ref false in
+              for k = 0 to nr - 1 do
+                let a, z = wins.(k) in
+                if q >= a && q <= z then begin
+                  cov := true;
+                  if refs.(k).write then w := true
                 end
               done;
-              match !evs with
-              | [] -> ()
-              | evs ->
-                  let arr = Array.of_list (List.rev evs) in
-                  Array.sort
-                    (fun (k1, t1, _) (k2, t2, _) ->
-                      if k1 <> k2 then compare k1 k2 else compare t1 t2)
-                    arr;
-                  f line arr
-            end
+              if !cov then begin
+                let cidx = q / r.rchunk in
+                let t = cidx mod threads in
+                let kpar =
+                  ((cidx / threads) * r.rchunk) + (q mod r.rchunk)
+                in
+                evs := (kpar, t, !w) :: !evs
+              end
+            done;
+            match !evs with
+            | [] -> ()
+            | evs ->
+                let arr = Array.of_list (List.rev evs) in
+                Array.sort
+                  (fun (k1, t1, _) (k2, t2, _) ->
+                    if k1 <> k2 then compare k1 k2 else compare t1 t2)
+                  arr;
+                f line arr times
+          end
+        in
+        let walk a z times =
+          for line = a to z do
+            visit line times
           done
+        in
+        if nr > 0 then begin
+          let first, last = line_range r b in
+          let cur = ref first in
+          (match b.groups with
+          | [ { s; _ } ] when s > 0 ->
+              let delta = lcm lb (s * r.rchunk * threads) / lb in
+              let ilo, ihi =
+                Array.fold_left
+                  (fun (l, h) (rf : rref) ->
+                    ( max l (cdiv (rf.addr0 + rf.size - s) lb),
+                      min h (fdiv ((r.rn * s) + rf.addr0 - lb) lb) ))
+                  (first, last) refs
+              in
+              List.iter
+                (fun (a, z) ->
+                  walk !cur (a - 1) 1;
+                  let periods = (z - a + 1) / delta in
+                  if periods >= 2 then begin
+                    walk a (a + delta - 1) periods;
+                    walk (a + (periods * delta)) z 1
+                  end
+                  else walk a z 1;
+                  cur := z + 1)
+                (if ilo <= ihi then exclusive ilo ihi else [])
+          | _ -> ());
+          walk !cur last 1
         end
+      in
+      (* split a line's sorted events into the runs [i, j) that share
+         one parallel step [kpar] *)
+      let each_step events g =
+        let nev = Array.length events in
+        let i = ref 0 in
+        while !i < nev do
+          let kpar, _, _ = events.(!i) in
+          let j = ref !i in
+          while
+            !j < nev
+            && (let k, _, _ = events.(!j) in
+                k = kpar)
+          do
+            incr j
+          done;
+          g kpar !i !j;
+          i := !j
+        done
+      in
+      (* FS cases of one parallel step's events [i, j) against the writer
+         mask [writers], which the step's writes update in place: the
+         first inner step sees the mask build up, inner steps 2..ip repeat
+         the group against the settled mask.  [check h] runs before the
+         sticky written bit of thread [h] is relied on. *)
+      let step_fs ?check (r : region) events i j writers =
+        let s0 = ref 0 in
+        for e = i to j - 1 do
+          let _, t, w = events.(e) in
+          let bit = 1 lsl t in
+          let others = !writers land lnot bit in
+          Option.iter
+            (fun check ->
+              if !writers land bit <> 0 then check t;
+              for h = 0 to threads - 1 do
+                if others land (1 lsl h) <> 0 then check h
+              done)
+            check;
+          s0 := !s0 + popcount others;
+          if w then writers := !writers lor bit
+        done;
+        let s1 = ref 0 in
+        if r.rip > 1 then
+          for e = i to j - 1 do
+            let _, t, _ = events.(e) in
+            s1 := !s1 + popcount (!writers land lnot (1 lsl t))
+          done;
+        !s0 + ((r.rip - 1) * !s1)
       in
       (* ---- exact counting with per-line state carried across regions ---- *)
       let global_fs (sel : region array) =
@@ -448,6 +536,30 @@ let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
         let starts = Array.make (Array.length sel) 0 in
         let fs = ref 0 in
         let base_step = ref 0 in
+        (* a line no other region reaches starts with empty state and is
+           never read again, so its whole periods may be skipped *)
+        let spans =
+          List.concat
+            (List.mapi
+               (fun ri r ->
+                 List.filter_map
+                   (fun b -> if b.bwritten then Some (ri, line_range r b) else None)
+                   r.rbases)
+               (Array.to_list sel))
+        in
+        let exclusive ri lo hi =
+          let rec gaps cur = function
+            | [] -> if cur <= hi then [ (cur, hi) ] else []
+            | (a, z) :: rest ->
+                (if a > cur then [ (cur, a - 1) ] else [])
+                @ gaps (max cur (z + 1)) rest
+          in
+          List.filter_map
+            (fun (rj, (a, z)) ->
+              if rj <> ri && a <= hi && z >= lo then Some (a, z) else None)
+            spans
+          |> List.sort compare |> gaps lo
+        in
         Array.iteri
           (fun ri r ->
             starts.(ri) <- !base_step;
@@ -471,84 +583,49 @@ let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
             List.iter
               (fun b ->
                 if b.bwritten then
-                  iter_lines r b (fun line events ->
-                    let st =
-                      match Hashtbl.find_opt tbl line with
-                      | Some s -> s
-                      | None ->
-                          incr lines_seen;
-                          let s =
-                            { writers = 0; last = Array.make threads (-1) }
-                          in
-                          Hashtbl.add tbl line s;
-                          s
-                    in
-                    let nev = Array.length events in
-                    let i = ref 0 in
-                    while !i < nev do
-                      let kpar, _, _ = events.(!i) in
-                      let j = ref !i in
-                      while
-                        !j < nev
-                        && (let k, _, _ = events.(!j) in
-                            k = kpar)
-                      do
-                        incr j
-                      done;
-                      let step_end =
-                        !base_step + (kpar * r.rip) + r.rip - 1
+                  iter_lines ~exclusive:(exclusive ri) r b
+                    (fun line events times ->
+                      let st =
+                        match Hashtbl.find_opt tbl line with
+                        | Some s -> s
+                        | None ->
+                            incr lines_seen;
+                            let s =
+                              { writers = ref 0; last = Array.make threads (-1) }
+                            in
+                            Hashtbl.add tbl line s;
+                            s
                       in
-                      let gmask = ref 0 in
-                      for e = !i to !j - 1 do
-                        let _, t, _ = events.(e) in
-                        gmask := !gmask lor (1 lsl t)
-                      done;
-                      tick (!j - !i);
-                      let s0 = ref 0 in
-                      for e = !i to !j - 1 do
-                        let _, t, w = events.(e) in
-                        let bit = 1 lsl t in
-                        (* every thread whose sticky written bit we rely
-                           on — holders counted now, and the toucher's own
-                           chain — must certainly still be resident *)
-                        let check h =
-                          if !gmask land (1 lsl h) <> 0 then
-                            (* touched at every step of this group *)
-                            certify (step_end - 1) step_end
-                          else begin
-                            let lt = st.last.(h) in
-                            if lt < 0 then
-                              bail "internal: holder without a prior touch";
-                            certify lt step_end
-                          end
-                        in
-                        if st.writers land bit <> 0 then check t;
-                        let others = st.writers land lnot bit in
-                        if others <> 0 then begin
-                          for h = 0 to threads - 1 do
-                            if others land (1 lsl h) <> 0 then check h
+                      each_step events (fun kpar i j ->
+                          let step_end =
+                            !base_step + (kpar * r.rip) + r.rip - 1
+                          in
+                          let gmask = ref 0 in
+                          for e = i to j - 1 do
+                            let _, t, _ = events.(e) in
+                            gmask := !gmask lor (1 lsl t)
                           done;
-                          s0 := !s0 + popcount others
-                        end;
-                        if w then st.writers <- st.writers lor bit
-                      done;
-                      (* inner steps 2..ip repeat the group against the
-                         settled mask *)
-                      if r.rip > 1 then begin
-                        let s1 = ref 0 in
-                        for e = !i to !j - 1 do
-                          let _, t, _ = events.(e) in
-                          s1 := !s1 + popcount (st.writers land lnot (1 lsl t))
-                        done;
-                        fs := !fs + !s0 + ((r.rip - 1) * !s1)
-                      end
-                      else fs := !fs + !s0;
-                      for e = !i to !j - 1 do
-                        let _, t, _ = events.(e) in
-                        st.last.(t) <- step_end
-                      done;
-                      i := !j
-                    done))
+                          tick (j - i);
+                          (* every thread whose sticky written bit we rely
+                             on — holders counted now, and the toucher's
+                             own chain — must certainly still be resident *)
+                          let check h =
+                            if !gmask land (1 lsl h) <> 0 then
+                              (* touched at every step of this group *)
+                              certify (step_end - 1) step_end
+                            else begin
+                              let lt = st.last.(h) in
+                              if lt < 0 then
+                                bail "internal: holder without a prior touch";
+                              certify lt step_end
+                            end
+                          in
+                          fs :=
+                            !fs + (times * step_fs ~check r events i j st.writers);
+                          for e = i to j - 1 do
+                            let _, t, _ = events.(e) in
+                            st.last.(t) <- step_end
+                          done)))
               r.rbases;
             base_step := !base_step + r.rsteps)
           sel;
@@ -560,39 +637,12 @@ let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
         List.iter
           (fun b ->
             if b.bwritten then
-              iter_lines r b (fun _line events ->
+              iter_lines r b (fun _line events times ->
                 incr lines_seen;
                 let writers = ref 0 in
                 let first = ref 0 in
-                let nev = Array.length events in
-                let i = ref 0 in
-                while !i < nev do
-                  let kpar, _, _ = events.(!i) in
-                  let j = ref !i in
-                  while
-                    !j < nev
-                    && (let k, _, _ = events.(!j) in
-                        k = kpar)
-                  do
-                    incr j
-                  done;
-                  let s0 = ref 0 in
-                  for e = !i to !j - 1 do
-                    let _, t, w = events.(e) in
-                    s0 := !s0 + popcount (!writers land lnot (1 lsl t));
-                    if w then writers := !writers lor (1 lsl t)
-                  done;
-                  if r.rip > 1 then begin
-                    let s1 = ref 0 in
-                    for e = !i to !j - 1 do
-                      let _, t, _ = events.(e) in
-                      s1 := !s1 + popcount (!writers land lnot (1 lsl t))
-                    done;
-                    first := !first + !s0 + ((r.rip - 1) * !s1)
-                  end
-                  else first := !first + !s0;
-                  i := !j
-                done;
+                each_step events (fun _ i j ->
+                    first := !first + step_fs r events i j writers);
                 (* steady-state regions: the writer set is complete from
                    region one and never decays *)
                 let steady = ref 0 in
@@ -600,7 +650,7 @@ let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
                   (fun (_, t, _) ->
                     steady := !steady + popcount (!writers land lnot (1 lsl t)))
                   events;
-                fs := !fs + !first + ((rc - 1) * r.rip * !steady)))
+                fs := !fs + (times * (!first + ((rc - 1) * r.rip * !steady)))))
           r.rbases;
         !fs
       in
@@ -610,11 +660,11 @@ let estimate (cfg : Fsmodel.Model.config) ~(nest : Loop_nest.t) ~checked =
         List.iter
           (fun b ->
             if b.countable then
-              iter_lines r b (fun _line events ->
+              iter_lines r b (fun _line events times ->
                 let m = ref 0 in
                 Array.iter (fun (_, t, _) -> m := !m lor (1 lsl t)) events;
                 for t = 0 to threads - 1 do
-                  if !m land (1 lsl t) <> 0 then dj.(t) <- dj.(t) + 1
+                  if !m land (1 lsl t) <> 0 then dj.(t) <- dj.(t) + times
                 done))
           r.rbases;
         dj
@@ -717,9 +767,6 @@ let sym_eval cert p =
   | None ->
       let x = p - cert.sc_base in
       newton_eval cert.sc_coeffs.(x mod cert.sc_modulus) (x / cert.sc_modulus)
-
-let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
-let lcm a b = if a = 0 || b = 0 then 0 else abs (a * b) / gcd a b
 
 (* trim trailing zero differences so degrees compare meaningfully *)
 let trim c =

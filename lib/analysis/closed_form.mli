@@ -9,6 +9,15 @@
     the model's 1-to-All comparison reduces to prefix counting of distinct
     earlier writers per line — no cache state is simulated.
 
+    The cost does not grow with the trip count.  When all of a written
+    base's references advance by one positive stride [s], a line's
+    events repeat [lcm(line_bytes, s * chunk * threads) / line_bytes]
+    lines on, a whole number of schedule rounds later.  On a stretch of
+    lines that no window clips at the loop bounds and no other region
+    reaches, one period is walked and the whole periods after it are
+    counted as its translates, not walked.  Mixed-stride bases and
+    lines shared between regions are walked line by line.
+
     The estimator is {e certifying}: it returns [Exact] only when it can
     prove its count equals [Model.run]'s, and otherwise reports why not so
     the caller can fall back to the engine.  The certificates are:
@@ -29,7 +38,9 @@
 
 type info = {
   fs_cases : int;  (** provably equal to [Model.run]'s [fs_cases] *)
-  lines_analyzed : int;  (** cache lines enumerated *)
+  lines_analyzed : int;
+      (** cache lines enumerated; whole-period translates are counted,
+          not walked, so they are not in this number *)
   regions : int;  (** sequential outer-loop regions *)
   regime : string;
       (** which certificate applied: ["empty"], ["single"], ["reset"],

@@ -189,43 +189,43 @@ let dependence_findings ~opts ~func ~region rows =
   in
   (races, unknowns, fallbacks)
 
+(* Under [--cost-model analytic|both], the nest's Eq. 1 analysis, whose
+   closed form is also its count; [None] under [sim] or when the nest's
+   parameters are incomplete. *)
+let analysis_of ~opts ~checked nest =
+  match opts.cost_model with
+  | `Sim -> None
+  | `Analytic | `Both -> (
+      try
+        Some
+          (Reuse.analyze ~arch:opts.arch ?chunk:opts.chunk
+             ~threads:opts.threads ~params:(all_params opts) ~checked nest)
+      with _ -> None)
+
 (* Quantify a nest's false sharing: certified closed form when it
-   applies, the exact engine otherwise — except under [--cost-model
-   analytic], which promises zero engine evaluations and reports the
-   certificate gap instead of falling back. *)
-let fs_count ~cost_model cfg ~nest ~checked =
-  match Closed_form.estimate cfg ~nest ~checked with
-  | Closed_form.Exact info -> (info.Closed_form.fs_cases, "closed form")
-  | Closed_form.Inapplicable reason when cost_model = `Analytic ->
+   applies (from [analysis] when there is one), the exact engine
+   otherwise — except under [--cost-model analytic], which promises zero
+   engine evaluations and reports the certificate gap instead of falling
+   back. *)
+let fs_count ~cost_model ~analysis cfg ~nest ~checked =
+  let certified =
+    match analysis with
+    | Some a -> Option.to_result a.Reuse.fs_cases ~none:a.Reuse.fs_note
+    | None -> (
+        match Closed_form.estimate cfg ~nest ~checked with
+        | Closed_form.Exact info -> Ok info.Closed_form.fs_cases
+        | Closed_form.Inapplicable reason -> Error reason)
+  in
+  match certified with
+  | Ok n -> (n, "closed form")
+  | Error reason when cost_model = `Analytic ->
       ( -1,
         Printf.sprintf
           "no closed-form certificate (%s); rerun with --cost-model sim for \
            an engine count"
           reason )
-  | Closed_form.Inapplicable _ ->
+  | Error _ ->
       ((Fsmodel.Model.run cfg ~nest ~checked).Fsmodel.Model.fs_cases, "engine")
-
-(* The analytic Eq. 1 context attached to findings under [--cost-model
-   analytic|both]; [None] when the nest's parameters are incomplete. *)
-let cost_of ~opts ~checked nest =
-  match opts.cost_model with
-  | `Sim -> None
-  | `Analytic | `Both -> (
-      match
-        Reuse.analyze ~arch:opts.arch ?chunk:opts.chunk ~threads:opts.threads
-          ~params:(all_params opts) ~checked nest
-      with
-      | a ->
-          Some
-            {
-              Diag.cost_model = "analytic";
-              eq1 = a.Reuse.eq1;
-              fs_percent =
-                Costmodel.Total_cost.fs_percent ~fs:a.Reuse.breakdown;
-              miss_rate = a.Reuse.prediction.Reuse.miss_rate;
-              mem_fetches = a.Reuse.prediction.Reuse.mem_fetches;
-            }
-      | exception _ -> None)
 
 let fixits_for ~opts ~checked ~base advice =
   match advice with
@@ -399,8 +399,11 @@ let fs_findings ~opts ~checked ~func ~advice ~fixv ~races conflicts cfg nest =
       | None ->
           (* a nest rescued by the exact backend (unbound identifiers
              treated as free parameters) has no concrete count to run *)
+          let analysis = analysis_of ~opts ~checked nest in
           let fs, how =
-            try fs_count ~cost_model:opts.cost_model cfg ~nest ~checked
+            try
+              fs_count ~cost_model:opts.cost_model ~analysis cfg ~nest
+                ~checked
             with _ -> (-1, "the nest references identifiers not bound by -p")
           in
           (* the analytic path never touches the engine, so no
@@ -410,7 +413,19 @@ let fs_findings ~opts ~checked ~func ~advice ~fixv ~races conflicts cfg nest =
               attribution_pairs ~checked cfg nest
             else None
           in
-          let cost = cost_of ~opts ~checked nest in
+          let cost =
+            Option.map
+              (fun (a : Reuse.analytic) ->
+                {
+                  Diag.cost_model = "analytic";
+                  eq1 = a.Reuse.eq1;
+                  fs_percent =
+                    Costmodel.Total_cost.fs_percent ~fs:a.Reuse.breakdown;
+                  miss_rate = a.Reuse.prediction.Reuse.miss_rate;
+                  mem_fetches = a.Reuse.prediction.Reuse.mem_fetches;
+                })
+              analysis
+          in
           let quant =
             if fs > 0 then
               Printf.sprintf

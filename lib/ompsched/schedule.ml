@@ -27,15 +27,13 @@ let nth_iter_of_thread t ~tid k =
   match nth_iter_int t ~tid k with -1 -> None | q -> Some q
 
 let count_of_thread t ~tid =
-  (* full chunks owned by [tid] plus the possibly-partial last one *)
-  let rec go k acc =
-    match nth_iter_of_thread t ~tid (k * t.chunk) with
-    | None -> acc
-    | Some q ->
-        let in_chunk = min t.chunk (t.total - q) in
-        go (k + 1) (acc + in_chunk)
-  in
-  go 0 0
+  (* [full] whole rounds of the deal, then the remainder round's share *)
+  if tid < 0 || tid >= t.threads then 0
+  else begin
+    let round = t.chunk * t.threads in
+    let full = t.total / round and rem = t.total mod round in
+    (full * t.chunk) + max 0 (min t.chunk (rem - (tid * t.chunk)))
+  end
 
 let iters_of_thread t ~tid =
   let rec go k acc =
@@ -53,11 +51,8 @@ let chunk_runs_total t =
   let per_run = t.threads * t.chunk in
   (t.total + per_run - 1) / per_run
 
-let max_steps_per_thread t =
-  let rec go tid acc =
-    if tid >= t.threads then acc else go (tid + 1) (max acc (count_of_thread t ~tid))
-  in
-  go 0 0
+(* thread 0 is dealt first in every round, so it is never behind *)
+let max_steps_per_thread t = count_of_thread t ~tid:0
 
 let chunks_per_thread t = (max_steps_per_thread t + t.chunk - 1) / t.chunk
 

@@ -38,7 +38,10 @@ val nth_iter_int : t -> tid:int -> int -> int
 (** Allocation-free {!nth_iter_of_thread}: [-1] instead of [None]. *)
 
 val count_of_thread : t -> tid:int -> int
-(** Number of iterations thread [tid] executes in total. *)
+(** Number of iterations thread [tid] executes in total ([0] for a [tid]
+    outside [0 .. threads-1]).  O(1): [full * chunk] for the
+    [full = total / (chunk * threads)] whole rounds of the deal, plus
+    [tid]'s share of the remainder round. *)
 
 val iters_of_thread : t -> tid:int -> int list
 (** All iterations of a thread in execution order (test-sized inputs). *)
@@ -48,7 +51,9 @@ val chunk_runs_total : t -> int
     [x_max]). *)
 
 val max_steps_per_thread : t -> int
-(** Maximum over threads of [count_of_thread]; the lockstep-evaluation depth. *)
+(** Maximum over threads of [count_of_thread] (thread 0's count, since
+    it is dealt first in every round); the lockstep-evaluation depth.
+    O(1). *)
 
 val chunks_per_thread : t -> int
 (** Chunks the busiest thread executes:

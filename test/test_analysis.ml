@@ -238,6 +238,117 @@ let test_estimator_applicability_floor () =
   check Alcotest.int "all grid points in closed form" !total !hits
 
 (* ------------------------------------------------------------------ *)
+(* whole periods: counted, not walked                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A line [lcm(line, stride * chunk * threads) / line] lines on repeats
+   a line's events one whole round of the deal later, so on a stretch
+   of lines no window clips and no other region reaches, the estimator
+   walks one period and counts the rest.  Each nest below spans several
+   periods: the count must still be the engine's, and [max_lines] pins
+   that most lines were counted, not walked.  The overlapping rows
+   share their middle, which is walked; only the rows' exclusive ends
+   skip. *)
+let period_cases =
+  let par ?(chunk = 1) ?(lo = 0) ?(step = 1) n body =
+    Printf.sprintf
+      "  #pragma omp parallel for schedule(static,%d)\n\
+      \  for (i = %d; i < %d; i += %d) {\n    %s\n  }\n"
+      chunk lo n step body
+  in
+  let func ?(outer = 0) decls loop =
+    if outer = 0 then
+      Printf.sprintf "%svoid f(void) {\n  int i;\n%s}\n" decls loop
+    else
+      Printf.sprintf
+        "%svoid f(void) {\n  int i;\n  int t;\n  for (t = 0; t < %d; t++) {\n%s  }\n}\n"
+        decls outer loop
+  in
+  [
+    ( "one region", 8, 2,
+      func "double a[3000];\n" (par 3000 "a[i] = a[i] + 1.0;") );
+    ( "struct field, step 3", 3, 300,
+      func
+        "struct w12 {\n  int x;\n  int y;\n  int z;\n};\nstruct w12 p[9000];\n"
+        (par ~chunk:5 ~lo:1 ~step:3 9000 "p[i].y = p[i].x + 1;") );
+    ( "row-disjoint regions", 8, 12,
+      func ~outer:3 "double m[3][2000];\n"
+        (par ~chunk:2 2000 "m[t][i] = m[t][i] + 1.0;") );
+    ( "overlapping rows", 4, 150,
+      func ~outer:3 "int a[4200];\n" (par 2000 "a[1000 * t + i] = 1;") );
+    ( "identical regions", 8, 2,
+      func ~outer:3 "double a[3000];\ndouble b[3000];\n"
+        (par 3000 "a[i] = a[i] + b[i];") );
+    ( "two written bases", 6, 60,
+      func "char a[4000];\nlong b[4000];\n"
+        (par ~chunk:3 4000 "a[i] = 1;\n    b[i] = a[i];") );
+  ]
+
+let test_period_skip_exact () =
+  List.iter
+    (fun (what, threads, max_lines, src) ->
+      let checked = parse src in
+      let nest = lower ~threads checked ~func:"f" in
+      let cfg = Model.default_config ~threads () in
+      assert_exact ~what cfg ~nest ~checked;
+      match Analysis.Closed_form.estimate cfg ~nest ~checked with
+      | Analysis.Closed_form.Exact { lines_analyzed; _ } ->
+          if lines_analyzed > max_lines then
+            Alcotest.failf "%s: %d lines walked, expected at most %d" what
+              lines_analyzed max_lines
+      | Analysis.Closed_form.Inapplicable _ -> ())
+    period_cases;
+  (* a stack too small to certify residency must refuse on the walked
+     period exactly as the line-by-line walk did *)
+  let _, threads, _, src = List.hd period_cases in
+  let checked = parse src in
+  let nest = lower ~threads checked ~func:"f" in
+  let cfg =
+    { (Model.default_config ~threads ()) with Model.stack = Model.Lines 4 }
+  in
+  match Analysis.Closed_form.estimate cfg ~nest ~checked with
+  | Analysis.Closed_form.Inapplicable reason ->
+      check Alcotest.string "4-line stack reason"
+        "line residency across a 1-step gap is uncertain" reason
+  | Analysis.Closed_form.Exact _ ->
+      Alcotest.fail "4-line stack: expected fallback"
+
+(* The analytic count is trip-count independent: a saxpy-shaped
+   schedule(static,1) nest over 4-byte elements at 8 threads walks the
+   same few lines at every N and counts 84 cases per 16-element line,
+   5.25 * N in all. *)
+let test_period_scaling () =
+  let walked =
+    List.map
+      (fun e ->
+        let n = int_of_float (10. ** float_of_int e) in
+        let src =
+          Printf.sprintf
+            "float x[%d];\nfloat y[%d];\nvoid f(void) {\n  int i;\n\
+            \  #pragma omp parallel for schedule(static,1)\n\
+            \  for (i = 0; i < %d; i++) {\n    y[i] += 2.5 * x[i];\n  }\n}\n"
+            n n n
+        in
+        let checked = parse src in
+        let nest = lower ~threads:8 checked ~func:"f" in
+        match
+          Analysis.Closed_form.estimate (Model.default_config ~threads:8 ())
+            ~nest ~checked
+        with
+        | Analysis.Closed_form.Exact { fs_cases; lines_analyzed; _ } ->
+            check Alcotest.int
+              (Printf.sprintf "N=1e%d: 5.25 N" e)
+              (21 * n / 4) fs_cases;
+            lines_analyzed
+        | Analysis.Closed_form.Inapplicable r ->
+            Alcotest.failf "N=1e%d: no certificate: %s" e r)
+      [ 4; 5; 6; 7; 8; 9 ]
+  in
+  List.iter
+    (check Alcotest.int "lines walked do not grow with N" (List.hd walked))
+    walked
+
+(* ------------------------------------------------------------------ *)
 (* dependence analysis vs brute force                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -923,6 +1034,10 @@ let () =
             test_invalidate_ablation_falls_back;
           Alcotest.test_case "applicability floor" `Quick
             test_estimator_applicability_floor;
+          Alcotest.test_case "whole periods skipped, engine-exact" `Quick
+            test_period_skip_exact;
+          Alcotest.test_case "trip-count independent" `Quick
+            test_period_scaling;
           QCheck_alcotest.to_alcotest prop_estimator_oracle;
         ] );
       ( "depend",

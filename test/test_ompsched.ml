@@ -122,6 +122,35 @@ let prop_nth_matches_list =
           && Schedule.nth_iter_of_thread s ~tid (List.length l) = None)
         (List.init s.Schedule.threads (fun t -> t)))
 
+(* count_of_thread is closed-form arithmetic; the chunk walk behind
+   iters_of_thread is its oracle.  Totals are drawn from three bands so
+   the empty loop and a partial first round are always exercised, and
+   tids run past both ends of the team. *)
+let prop_count_matches_walk =
+  let gen =
+    QCheck2.Gen.(
+      int_range 1 8 >>= fun threads ->
+      int_range 1 7 >>= fun chunk ->
+      oneof
+        [
+          return 0;
+          int_range 0 ((chunk * threads) - 1);
+          int_range 0 300;
+        ]
+      >|= fun total -> Schedule.make ~threads ~chunk ~total)
+  in
+  QCheck2.Test.make ~name:"count_of_thread = length of iters_of_thread"
+    ~count:500 ~print:(Format.asprintf "%a" Schedule.pp) gen (fun s ->
+      let counts =
+        List.init (s.Schedule.threads + 4) (fun k ->
+            let tid = k - 2 in
+            let n = Schedule.count_of_thread s ~tid in
+            if n <> List.length (Schedule.iters_of_thread s ~tid) then
+              QCheck2.Test.fail_reportf "tid %d: count %d" tid n;
+            n)
+      in
+      Schedule.max_steps_per_thread s = List.fold_left max 0 counts)
+
 (* ------------------------------------------------------------------ *)
 (* Seeded PRNG streams                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -289,6 +318,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_owner_consistent;
           QCheck_alcotest.to_alcotest prop_counts_sum;
           QCheck_alcotest.to_alcotest prop_nth_matches_list;
+          QCheck_alcotest.to_alcotest prop_count_matches_walk;
         ] );
       ( "prng",
         [
