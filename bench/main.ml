@@ -684,9 +684,9 @@ let lines_section () =
 (* ------------------------------------------------------------------ *)
 
 (* A/B guard for the attribution layer: the fast engine with no recorder
-   attached must stay at its zero-allocation baseline (attribution rides
-   a separate duplicated loop, so the plain path gains no branch), and
-   the recorder's aggregate-only overhead is reported for reference.
+   attached must stay at its zero-allocation baseline (attribution is one
+   per-line branch in the engine's single region loop), and the
+   recorder's aggregate-only overhead is reported for reference.
    Timings land in BENCH.json so a perf regression is visible in CI. *)
 let attrib_times : (string * int * float * float) list ref = ref []
 

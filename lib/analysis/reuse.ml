@@ -419,35 +419,39 @@ type overhead = {
 }
 
 let overhead ?(arch = Archspec.Arch.paper_machine)
-    ?(fs_cost_factor = Costmodel.Total_cost.default_fs_cost_factor)
-    ?(contention = false) ~threads ~fs_chunk ~nfs_chunk ~func checked =
-  let params = [ ("num_threads", threads) ] in
-  let nest = Loopir.Lower.lower checked ~func ~params in
-  let base = Fsmodel.Model.default_config ~arch ~threads () in
+    ?(fs_cost_factor = Costmodel.Total_cost.default_fs_cost_factor) ~threads
+    ~fs_chunk ~nfs_chunk ~checked (nest : Loopir.Loop_nest.t) analytic =
+  (* [analytic] certified the nest rewritten to schedule(static, fs_chunk),
+     so its count is the nest's own only under a static pragma; the
+     closed form rejects dynamic and guided ones *)
+  let certified_fs =
+    match Loopir.Loop_nest.schedule_kind nest with
+    | `Static -> analytic.fs_cases
+    | `Dynamic | `Guided -> None
+  in
   let count chunk =
-    match
-      Closed_form.estimate
-        { base with Fsmodel.Model.chunk = Some chunk }
-        ~nest ~checked
-    with
+    let cfg =
+      { (Fsmodel.Model.default_config ~arch ~threads ()) with
+        Fsmodel.Model.chunk = Some chunk }
+    in
+    match Closed_form.estimate cfg ~nest ~checked with
     | Closed_form.Exact i -> Some i.Closed_form.fs_cases
     | Closed_form.Inapplicable _ -> None
   in
-  match (count fs_chunk, count nfs_chunk) with
-  | Some n_fs, Some n_nfs ->
-      let analytic =
-        analyze ~arch ~fs_cost_factor ~contention ~chunk:fs_chunk ~threads
-          ~params ~checked nest
-      in
-      let excess =
-        float_of_int (max 0 (n_fs - n_nfs))
-        *. float_of_int arch.Archspec.Arch.coherence_latency
-        *. fs_cost_factor /. float_of_int threads
-      in
-      let total = analytic.breakdown.Costmodel.Total_cost.total_cycles in
-      let percent = if total <= 0. then 0. else 100. *. excess /. total in
-      Some { threads; fs_chunk; nfs_chunk; n_fs; n_nfs; percent; analytic }
-  | _ -> None
+  match certified_fs with
+  | None -> None
+  | Some n_fs -> (
+      match count nfs_chunk with
+      | None -> None
+      | Some n_nfs ->
+          let excess =
+            float_of_int (max 0 (n_fs - n_nfs))
+            *. float_of_int arch.Archspec.Arch.coherence_latency
+            *. fs_cost_factor /. float_of_int threads
+          in
+          let total = analytic.breakdown.Costmodel.Total_cost.total_cycles in
+          let percent = if total <= 0. then 0. else 100. *. excess /. total in
+          Some { threads; fs_chunk; nfs_chunk; n_fs; n_nfs; percent; analytic })
 
 let pp_bin ppf b =
   Format.fprintf ppf "%s d=%s n=%.0f -> %s" b.label

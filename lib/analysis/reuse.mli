@@ -114,16 +114,20 @@ type overhead = {
 val overhead :
   ?arch:Archspec.Arch.t ->
   ?fs_cost_factor:float ->
-  ?contention:bool ->
   threads:int ->
   fs_chunk:int ->
   nfs_chunk:int ->
-  func:string ->
-  Minic.Typecheck.checked ->
+  checked:Minic.Typecheck.checked ->
+  Loopir.Loop_nest.t ->
+  analytic ->
   overhead option
-(** Analytic analogue of {!Fsmodel.Overhead_percent.analyze}: [None] when
-    {!Closed_form} certifies neither chunking (the engine-backed path is
-    then the only option). *)
+(** Analytic analogue of {!Fsmodel.Overhead_percent.analyze}, built on
+    [analytic], the caller's {!analyze} of the same nest with
+    [~chunk:fs_chunk] (same [arch], [fs_cost_factor] and [threads],
+    [params = \[("num_threads", threads)\]]): its certified count is
+    [n_fs], so only [nfs_chunk] runs the closed form again.  [None] when
+    {!Closed_form} does not certify both chunkings of the nest's own
+    pragma (a [dynamic] or [guided] pragma never is). *)
 
 val pp_bin : Format.formatter -> bin -> unit
 val pp_prediction : Format.formatter -> prediction -> unit

@@ -139,12 +139,6 @@ let process_attr t ~me ~line ~written ~ref_id ~step sink =
   if written then Cachesim.Int_table.set t.wref.(me) line ref_id;
   fs
 
-let process_entries t ~me entries =
-  List.fold_left
-    (fun acc { Ownership.line; written } ->
-      acc + process t ~me ~line ~written)
-    0 entries
-
 let invalidate_others t ~me ~line =
   Array.iteri
     (fun j s ->

@@ -34,9 +34,6 @@ val process_attr :
     consistently (both maintain the same counting state, but only this
     one maintains writer provenance). *)
 
-val process_entries : t -> me:int -> Ownership.entry list -> int
-(** Fold {!process} over an ownership list. *)
-
 val invalidate_others : t -> me:int -> line:int -> unit
 (** Drop [line] from every other thread's state (write-invalidate
     ablation). *)

@@ -48,9 +48,12 @@ type engine = [ `Fast | `Reference ]
     inner indices advanced by an odometer instead of per-step div/mod,
     and FS counting through {!Fs_counter}'s bitmask popcount.
     [`Reference] is the direct transcription of the paper's procedure
-    ({!Ownership.lines_ref} + {!Detect.fs_cases_for_insert}); it exists
-    as the oracle the fast engine is property-checked against.  Both
-    produce identical results. *)
+    ({!Ownership.lines_with_refs} + {!Detect.fs_cases_for_insert}); it
+    exists as the oracle the fast engine is property-checked against.
+    Both produce identical results.  Each engine is one region
+    evaluator: the static deal and a replayed [config.sched] plan differ
+    only in the iteration order it reads, and attribution only in a
+    per-line branch. *)
 
 type result = {
   fs_cases : int;  (** the paper's [N_fs_model] *)
@@ -89,5 +92,8 @@ val run :
     case — (writer thread, writing reference) invalidating (victim
     thread, victim reference) on a cache line at a lockstep step — under
     either engine, with identical event streams ({!Attrib.total} equals
-    the returned [fs_cases]).  Without it the engines run exactly the
-    pre-attribution code paths, so the fast path stays allocation-free. *)
+    the returned [fs_cases]).  The recorder is checked once per
+    ownership-list line: without it the fast engine calls
+    {!Fs_counter.process} instead of {!Fs_counter.process_attr}, the
+    reference engine fills no provenance tables, and the fast path still
+    allocates nothing per step. *)

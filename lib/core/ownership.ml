@@ -63,42 +63,13 @@ let compile ~layout ~line_bytes ~params ~var_slots (nest : Loopir.Loop_nest.t)
     nslots = List.length var_slots;
   }
 
-let lines_ref t idx =
-  let acc = ref [] in
-  (* first-touch order with write-domination; reference lists are short so a
-     linear merge beats hashing *)
-  let rec merge line written = function
-    | [] -> acc := { line; written } :: !acc
-    | e :: _ when e.line = line ->
-        if written && not e.written then
-          acc :=
-            List.map
-              (fun x -> if x.line = line then { x with written = true } else x)
-              !acc
-    | _ :: rest -> merge line written rest
-  in
-  Array.iter
-    (fun r ->
-      let addr = ref r.const_off in
-      Array.iter
-        (fun (slot, coeff) -> addr := !addr + (coeff * idx.(slot)))
-        r.terms;
-      let first = !addr / t.line_bytes in
-      let last = (!addr + r.size - 1) / t.line_bytes in
-      for line = first to last do
-        merge line r.write !acc
-      done)
-    t.refs;
-  List.rev !acc
-
-let lines = lines_ref
-
-(* [lines_ref] with per-entry provenance: each deduplicated line carries
-   the index of the reference it is attributed to — the first write
-   touching it, else the first touch.  Entry order and written flags are
-   exactly those of [lines_ref]. *)
+(* The reference ownership-list builder: deduplicated lines in
+   first-touch order, a write dominating reads, each line carrying the
+   index of the reference it is attributed to — the first write touching
+   it, else the first touch. *)
 let lines_with_refs t idx =
   let acc = ref [] in
+  (* reference lists are short so a linear merge beats hashing *)
   let rec merge line written rid = function
     | [] -> acc := { a_line = line; a_written = written; a_ref = rid } :: !acc
     | e :: _ when e.a_line = line ->
@@ -125,6 +96,11 @@ let lines_with_refs t idx =
       done)
     t.refs;
   List.rev !acc
+
+let lines t idx =
+  List.map
+    (fun { a_line; a_written; _ } -> { line = a_line; written = a_written })
+    (lines_with_refs t idx)
 
 let ref_count t = Array.length t.refs
 let source_ref t i = t.srcs.(i)

@@ -29,19 +29,16 @@ val compile :
     @raise Invalid_argument if a reference uses a variable outside
     [var_slots] and [params]. *)
 
-val lines : t -> int array -> entry list
-(** Ownership list for the iteration whose index values are given in
-    [var_slots] order.  The result is freshly allocated, deduplicated,
-    in first-touch order. *)
-
-val lines_ref : t -> int array -> entry list
-(** Alias of {!lines}: the list-building reference implementation the
-    incremental {!cursor}/{!fill} engine is checked against. *)
-
 val lines_with_refs : t -> int array -> attr_entry list
-(** {!lines_ref} with per-entry provenance; same entries, same order,
-    same write domination.  Used by the reference engine's attribution
-    path. *)
+(** Ownership list for the iteration whose index values are given in
+    [var_slots] order, with per-entry provenance.  The result is freshly
+    allocated, deduplicated, in first-touch order.  This is the
+    list-building reference implementation the reference engine reads
+    and the incremental {!cursor}/{!fill} engine is checked against. *)
+
+val lines : t -> int array -> entry list
+(** {!lines_with_refs} without provenance; same entries, same order,
+    same write domination. *)
 
 val ref_count : t -> int
 (** Number of compiled references (the length of the nest's

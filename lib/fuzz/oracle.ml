@@ -204,10 +204,41 @@ let analyze_nest ~mutate ~threads ~chunk ~brute_budget ~sym_cap ~mark ~fail
          ~f:(fun acc ~writer_ref ~victim_ref ~writer_tid ~victim_tid ~count ->
            (writer_ref, victim_ref, writer_tid, victim_tid, count) :: acc))
   in
+  let recorder () = Fsmodel.Attrib.create ~trace_cap:0 ~threads ~nrefs () in
+  (* attribution conservation: each recorder's total and per-pair sum
+     must equal its engine's count *)
+  let attrib_checks label ((fast : Fsmodel.Model.result), fast_rec)
+      ((refr : Fsmodel.Model.result), ref_rec) =
+    let fast_total =
+      Fsmodel.Attrib.total fast_rec
+      + (if mutate = Some Attrib_m then 1 else 0)
+    in
+    let pair_sum r =
+      List.fold_left (fun a (_, _, _, _, c) -> a + c) 0 (pair_hist r)
+    in
+    mark "attrib/conserve";
+    if
+      fast_total <> fast.fs_cases
+      || Fsmodel.Attrib.total ref_rec <> refr.fs_cases
+      || pair_sum fast_rec <> Fsmodel.Attrib.total fast_rec
+      || pair_sum ref_rec <> Fsmodel.Attrib.total ref_rec
+    then
+      fail "attrib/conserve"
+        (Printf.sprintf
+           "%s: fast recorded %d (pairs %d) of %d, reference recorded %d \
+            (pairs %d) of %d"
+           label fast_total (pair_sum fast_rec) fast.fs_cases
+           (Fsmodel.Attrib.total ref_rec)
+           (pair_sum ref_rec) refr.fs_cases);
+    (* both engines must attribute every case to the same provenance *)
+    mark "attrib/engines";
+    if pair_hist fast_rec <> pair_hist ref_rec then
+      fail "attrib/engines"
+        (label ^ ": fast and reference recorders disagree on a pair")
+  in
   let engines ps label =
     let c = { cfg with Fsmodel.Model.params = ps } in
-    let fast_rec = Fsmodel.Attrib.create ~trace_cap:0 ~threads ~nrefs () in
-    let ref_rec = Fsmodel.Attrib.create ~trace_cap:0 ~threads ~nrefs () in
+    let fast_rec = recorder () and ref_rec = recorder () in
     let fast =
       Fsmodel.Model.run ~engine:`Fast ~attrib:fast_rec c ~nest ~checked
     in
@@ -231,34 +262,7 @@ let analyze_nest ~mutate ~threads ~chunk ~brute_budget ~sym_cap ~mark ~fail
            label fast_fs fast.thread_steps fast.iterations_evaluated
            fast.chunk_runs refr.Fsmodel.Model.fs_cases refr.thread_steps
            refr.iterations_evaluated refr.chunk_runs);
-    (* attribution conservation: each recorder's total and per-pair sum
-       must equal its engine's count *)
-    let fast_total =
-      Fsmodel.Attrib.total fast_rec
-      + (if mutate = Some Attrib_m then 1 else 0)
-    in
-    let pair_sum r =
-      List.fold_left (fun a (_, _, _, _, c) -> a + c) 0 (pair_hist r)
-    in
-    mark "attrib/conserve";
-    if
-      fast_total <> fast.Fsmodel.Model.fs_cases
-      || Fsmodel.Attrib.total ref_rec <> refr.Fsmodel.Model.fs_cases
-      || pair_sum fast_rec <> Fsmodel.Attrib.total fast_rec
-      || pair_sum ref_rec <> Fsmodel.Attrib.total ref_rec
-    then
-      fail "attrib/conserve"
-        (Printf.sprintf
-           "%s: fast recorded %d (pairs %d) of %d, reference recorded %d \
-            (pairs %d) of %d"
-           label fast_total (pair_sum fast_rec) fast.Fsmodel.Model.fs_cases
-           (Fsmodel.Attrib.total ref_rec)
-           (pair_sum ref_rec) refr.Fsmodel.Model.fs_cases);
-    (* both engines must attribute every case to the same provenance *)
-    mark "attrib/engines";
-    if pair_hist fast_rec <> pair_hist ref_rec then
-      fail "attrib/engines"
-        (label ^ ": fast and reference recorders disagree on a pair");
+    attrib_checks label (fast, fast_rec) (refr, ref_rec);
     refr.Fsmodel.Model.fs_cases
   in
   (* check one must-claim against ground truth: [Independent] forbids
@@ -413,18 +417,19 @@ let analyze_nest ~mutate ~threads ~chunk ~brute_budget ~sym_cap ~mark ~fail
       (* seeded-schedule laws (concrete nests only): replay determinism
          across runs and engines, the static-equivalence collapse, and
          the Cole-Ramachandran steal bound against the block deal *)
-      let model ?(threads = threads) ?engine sched =
-        Fsmodel.Model.run ?engine
+      let model ?(threads = threads) ?engine ?attrib sched =
+        Fsmodel.Model.run ?engine ?attrib
           { cfg with Fsmodel.Model.threads; sched }
           ~nest ~checked
       in
       let dyn1 = Ompsched.Dispatch.Dynamic { chunk = 1 } in
-      let r1 = model (Some (dyn1, 3)) in
+      let r1_rec = recorder () and rref_rec = recorder () in
+      let r1 = model ~attrib:r1_rec (Some (dyn1, 3)) in
       let replay_fs =
         (model (Some (dyn1, 3))).Fsmodel.Model.fs_cases
         + (if mutate = Some Sched_m then 1 else 0)
       in
-      let rref = model ~engine:`Reference (Some (dyn1, 3)) in
+      let rref = model ~engine:`Reference ~attrib:rref_rec (Some (dyn1, 3)) in
       mark "sched/replay";
       if
         r1.Fsmodel.Model.fs_cases <> replay_fs
@@ -435,6 +440,9 @@ let analyze_nest ~mutate ~threads ~chunk ~brute_budget ~sym_cap ~mark ~fail
              "dynamic,1 seed 3: fast counts %d then %d on replay, reference \
               %d"
              r1.Fsmodel.Model.fs_cases replay_fs rref.Fsmodel.Model.fs_cases);
+      (* the replayed plan goes through the same attribution rows as the
+         static deal *)
+      attrib_checks "dynamic,1 seed 3" (r1, r1_rec) (rref, rref_rec);
       (* a one-thread team, or one chunk covering the whole trip, must
          reproduce the static deal exactly *)
       let solo = (model ~threads:1 None).Fsmodel.Model.fs_cases in

@@ -306,24 +306,21 @@ let run_analyze store ~digest ~text req ~func ~threads ~fs_chunk ~nfs_chunk
         Fsmodel.Overhead_percent.analyze ~mode ~arch:req.Req.arch ~contention
           ~threads ~fs_chunk ~nfs_chunk ~func c
       in
+      (* one analysis at [fs_chunk]; the Eq. 5 analogue reuses its count *)
       let analytic () =
-        match
-          Analysis.Reuse.overhead ~arch:req.Req.arch ~contention ~threads
-            ~fs_chunk ~nfs_chunk ~func c
-        with
-        | Some o -> (Some o, o.Analysis.Reuse.analytic)
-        | None ->
-            ( None,
-              Analysis.Reuse.analyze ~arch:req.Req.arch ~contention
-                ~chunk:fs_chunk ~threads
-                ~params:[ ("num_threads", threads) ]
-                ~checked:c nest )
-        | exception _ ->
-            ( None,
-              Analysis.Reuse.analyze ~arch:req.Req.arch ~contention
-                ~chunk:fs_chunk ~threads
-                ~params:[ ("num_threads", threads) ]
-                ~checked:c nest )
+        let a =
+          Analysis.Reuse.analyze ~arch:req.Req.arch ~contention
+            ~chunk:fs_chunk ~threads
+            ~params:[ ("num_threads", threads) ]
+            ~checked:c nest
+        in
+        let o =
+          try
+            Analysis.Reuse.overhead ~arch:req.Req.arch ~threads ~fs_chunk
+              ~nfs_chunk ~checked:c nest a
+          with _ -> None
+        in
+        (o, a)
       in
       if json then begin
         let open Analysis.Json in

@@ -1,8 +1,10 @@
 (* The fast engine's contract is bit-identical results to the reference
    transcription of the paper's procedure (Model.run ~engine:`Reference).
    This suite checks that contract on every registry kernel across several
-   (threads, chunk) configurations, on randomly generated small nests, and
-   checks that Par_sweep returns the same results at any domain count. *)
+   (threads, chunk) configurations — each also under replayed plans, a
+   truncation and attribution recorders — on randomly generated small
+   nests, and checks that Par_sweep returns the same results at any
+   domain count. *)
 
 open Fsmodel
 
@@ -15,25 +17,74 @@ let sample =
         s.Model.cumulative_fs)
     ( = )
 
-(* run both engines on one lowered nest and insist on identical results *)
+let pair_hist r =
+  List.sort compare
+    (Attrib.fold_pairs r ~init:[]
+       ~f:(fun acc ~writer_ref ~victim_ref ~writer_tid ~victim_tid ~count ->
+         (writer_ref, victim_ref, writer_tid, victim_tid, count) :: acc))
+
+(* run both engines on one lowered nest, with and without an
+   aggregates-only recorder, and insist on identical results: under the
+   given config, under two replayed plans (dynamic,1 and ws,2 at a fixed
+   seed), and cut short after two chunk runs *)
 let assert_engines_agree ~what ?max_chunk_runs cfg ~nest ~checked =
-  let go engine =
-    Model.run ?max_chunk_runs ~record_samples:true ~engine cfg ~nest ~checked
+  let nrefs = List.length nest.Loopir.Loop_nest.refs in
+  let variants =
+    [
+      (what, cfg, max_chunk_runs);
+      ( what ^ " dynamic,1",
+        { cfg with
+          Model.sched = Some (Ompsched.Dispatch.Dynamic { chunk = 1 }, 5) },
+        max_chunk_runs );
+      ( what ^ " ws,2",
+        { cfg with
+          Model.sched = Some (Ompsched.Dispatch.Work_stealing { chunk = 2 }, 5)
+        },
+        max_chunk_runs );
+      (what ^ " truncated", cfg, Some 2);
+    ]
   in
-  let fast = go `Fast and refr = go `Reference in
-  check Alcotest.int (what ^ ": fs_cases") refr.Model.fs_cases
-    fast.Model.fs_cases;
-  check Alcotest.int (what ^ ": thread_steps") refr.Model.thread_steps
-    fast.Model.thread_steps;
-  check Alcotest.int
-    (what ^ ": iterations_evaluated")
-    refr.Model.iterations_evaluated fast.Model.iterations_evaluated;
-  check Alcotest.int (what ^ ": chunk_runs") refr.Model.chunk_runs
-    fast.Model.chunk_runs;
-  check Alcotest.bool (what ^ ": truncated") refr.Model.truncated
-    fast.Model.truncated;
-  check (Alcotest.list sample) (what ^ ": samples") refr.Model.samples
-    fast.Model.samples
+  List.iter
+    (fun (what, cfg, max_chunk_runs) ->
+      let go ?attrib engine =
+        Model.run ?max_chunk_runs ~record_samples:true ~engine ?attrib cfg
+          ~nest ~checked
+      in
+      let recorder () =
+        Attrib.create ~trace_cap:0 ~threads:cfg.Model.threads ~nrefs ()
+      in
+      let fast_rec = recorder () and ref_rec = recorder () in
+      let refr = go `Reference in
+      List.iter
+        (fun (who, (r : Model.result)) ->
+          let what = Printf.sprintf "%s (%s)" what who in
+          check Alcotest.int (what ^ ": fs_cases") refr.Model.fs_cases
+            r.Model.fs_cases;
+          check Alcotest.int (what ^ ": thread_steps") refr.Model.thread_steps
+            r.Model.thread_steps;
+          check Alcotest.int
+            (what ^ ": iterations_evaluated")
+            refr.Model.iterations_evaluated r.Model.iterations_evaluated;
+          check Alcotest.int (what ^ ": chunk_runs") refr.Model.chunk_runs
+            r.Model.chunk_runs;
+          check (Alcotest.list sample) (what ^ ": samples") refr.Model.samples
+            r.Model.samples;
+          check Alcotest.bool (what ^ ": truncated") refr.Model.truncated
+            r.Model.truncated;
+          check Alcotest.int (what ^ ": steals") refr.Model.steals
+            r.Model.steals)
+        [
+          ("fast", go `Fast);
+          ("fast, recorder", go ~attrib:fast_rec `Fast);
+          ("reference, recorder", go ~attrib:ref_rec `Reference);
+        ];
+      check Alcotest.int (what ^ ": fast recorder total") refr.Model.fs_cases
+        (Attrib.total fast_rec);
+      check Alcotest.int (what ^ ": reference recorder total")
+        refr.Model.fs_cases (Attrib.total ref_rec);
+      if pair_hist fast_rec <> pair_hist ref_rec then
+        Alcotest.failf "%s: fast and reference pair histograms differ" what)
+    variants
 
 (* ------------------------------------------------------------------ *)
 (* registry kernels                                                    *)

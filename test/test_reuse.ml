@@ -201,25 +201,65 @@ let test_analytic_attaches_cost () =
 (* Analytic overhead (the Eq. 5 analogue)                              *)
 (* ------------------------------------------------------------------ *)
 
+(* [overhead] builds on its caller's fs_chunk analysis.  Under a static
+   pragma its counts are the closed form's at each chunk on the nest's
+   own pragma; under schedule(dynamic) the closed form certifies only
+   the static rewrite [analyze] costs, so there is no overhead. *)
 let test_overhead_heat () =
-  match Kernels.Registry.find "heat" with
+  let threads = 4 in
+  let params = [ ("num_threads", threads) ] in
+  let overhead ~func ~fs_chunk ~nfs_chunk checked =
+    let nest = Loopir.Lower.lower checked ~func ~params in
+    let count chunk =
+      match
+        Analysis.Closed_form.estimate
+          { (Fsmodel.Model.default_config ~threads ()) with
+            Fsmodel.Model.chunk = Some chunk }
+          ~nest ~checked
+      with
+      | Analysis.Closed_form.Exact i -> Some i.Analysis.Closed_form.fs_cases
+      | Analysis.Closed_form.Inapplicable _ -> None
+    in
+    let a =
+      Analysis.Reuse.analyze ~chunk:fs_chunk ~threads ~params ~checked nest
+    in
+    (Analysis.Reuse.overhead ~threads ~fs_chunk ~nfs_chunk ~checked nest a,
+     a, count)
+  in
+  (match Kernels.Registry.find "heat" with
   | None -> fail "no heat kernel"
   | Some k -> (
-      let checked = Kernels.Kernel.parse k in
+      let fs_chunk = k.Kernels.Kernel.fs_chunk
+      and nfs_chunk = k.Kernels.Kernel.nfs_chunk in
       match
         (* paper machine: the closed form certifies heat there (the tiny
            test machine's L1 makes line residency uncertain) *)
-        Analysis.Reuse.overhead ~threads:4
-          ~fs_chunk:k.Kernels.Kernel.fs_chunk
-          ~nfs_chunk:k.Kernels.Kernel.nfs_chunk
-          ~func:k.Kernels.Kernel.func checked
+        overhead ~func:k.Kernels.Kernel.func ~fs_chunk ~nfs_chunk
+          (Kernels.Kernel.parse k)
       with
-      | None -> fail "heat should be closed-form certifiable"
-      | Some o ->
+      | None, _, _ -> fail "heat should be closed-form certifiable"
+      | Some o, _, count ->
+          check Alcotest.(option int) "n_fs = closed form at fs_chunk"
+            (count fs_chunk) (Some o.Analysis.Reuse.n_fs);
+          check Alcotest.(option int) "n_nfs = closed form at nfs_chunk"
+            (count nfs_chunk) (Some o.Analysis.Reuse.n_nfs);
           if o.Analysis.Reuse.n_fs <= o.Analysis.Reuse.n_nfs then
             fail "FS-prone chunk should show more FS cases";
           if o.Analysis.Reuse.percent <= 0. then
-            fail "heat overhead should be positive")
+            fail "heat overhead should be positive"));
+  let checked =
+    Minic.Typecheck.check_program
+      (Minic.Parser.parse_program
+         (In_channel.with_open_bin "fixtures/dynamic_saxpy.c"
+            In_channel.input_all))
+  in
+  match overhead ~func:"saxpy" ~fs_chunk:1 ~nfs_chunk:16 checked with
+  | Some _, _, _ -> fail "a dynamic pragma has no analytic overhead"
+  | None, a, count ->
+      check Alcotest.(option int) "closed form rejects the dynamic pragma"
+        None (count 1);
+      if a.Analysis.Reuse.fs_cases = None then
+        fail "the static rewrite should still be certified"
 
 let () =
   Alcotest.run "reuse"
